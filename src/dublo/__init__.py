@@ -6,7 +6,7 @@ and exact-rational certificates); generators for the named graph families;
 and the structural classifier for the C_G <= 3 catalog.
 """
 
-from .classifier import ClassificationVerdict, classify_leq3, smith_c0_table, structural_lower_bound
+from .classifier import ClassificationVerdict, classify_leq3, structural_lower_bound
 from .doubling import (
     DoublingReport,
     Measure,
@@ -27,6 +27,7 @@ from .families import (
     expected_constant,
     generate,
     grid_ray_truncation,
+    smith_c0_table,
     truncation_study,
 )
 from .graphs import (

@@ -12,11 +12,10 @@ C <= 3 has a proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SolverError, ValidationError
-from .families import FamilySpec
+from .errors import SolverError
+from .families import smith_c0_table  # noqa: F401 - re-exported; defined in families
 from .graphs import Graph, structural_facts
 from .optimizer import OptimizationResult, least_doubling
 
@@ -170,28 +169,3 @@ def _position(c_g: float, margin: float) -> str:
     if c_g > 3 + margin:
         return "gt3"
     return "eq3"
-
-
-_SMITH_FIXED = {
-    "e6": 12,
-    "e7": 18,
-    "e8": 30,
-}
-
-
-def smith_c0_table(spec: FamilySpec) -> float:
-    """Closed-form C0 for the spectral-radius-two catalog and its neighbors."""
-    fam = spec.family
-    if fam == "path":
-        if spec.n is None or spec.n < 1:
-            raise ValidationError("path needs n >= 1")
-        return 1 + 2 * math.cos(math.pi / (spec.n + 1))
-    if fam == "d_n":
-        if spec.n is None or spec.n < 4:
-            raise ValidationError("d_n needs n >= 4")
-        return 1 + 2 * math.cos(math.pi / (2 * (spec.n - 1)))
-    if fam in _SMITH_FIXED:
-        return 1 + 2 * math.cos(math.pi / _SMITH_FIXED[fam])
-    if fam in ("cycle", "d_hat_n", "e6_hat", "e7_hat", "e8_hat", "three_legs"):
-        return 3.0
-    raise ValidationError(f"no Smith closed form for family {fam!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from pathlib import Path
 from . import classifier, families, optimizer, spectral, symmetry
 from .doubling import counting_measure, doubling_report, load_measure_text
 from .errors import ParseError, SizeCapError, SolverError, ValidationError
+from .families import FamilySpec
 from .graphs import Graph, distances, parse_edge_list, parse_graph6, size_cap, write_graph6
 
 SCHEMA = "dublo/1"
@@ -73,16 +73,19 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip().strip('"').strip("'")
-        if key in ("tolerance_bisect", "tolerance_eig"):
-            values[key] = float(val)
-        elif key in ("size_cap", "parallelism"):
-            values[key] = int(val)
-        elif key == "certificate_mode":
-            values[key] = val.lower() in ("1", "true", "yes")
-        elif key == "output_format":
-            values[key] = val
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            if key in ("tolerance_bisect", "tolerance_eig"):
+                values[key] = float(val)
+            elif key in ("size_cap", "parallelism"):
+                values[key] = int(val)
+            elif key == "certificate_mode":
+                values[key] = val.lower() in ("1", "true", "yes")
+            elif key == "output_format":
+                values[key] = val
+            else:
+                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed value {val!r} for {key}") from None
     return values
 
 
@@ -128,7 +131,7 @@ def emit(payload: dict, config: RunConfig, text_lines: list[str] | None = None) 
 
 def read_graph(args: argparse.Namespace, config: RunConfig) -> Graph:
     if getattr(args, "family", None):
-        spec = families.FamilySpec(
+        spec = FamilySpec(
             args.family,
             n=getattr(args, "n", None),
             m=getattr(args, "m", None),
@@ -159,7 +162,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         eig_tol=config.tolerance_eig,
         dt=dt,
     )
-    lem = optimizer.check_lemachorra(g)
     orbit_count = result.method_notes.get("orbit_count")
     orbit_sizes = None
     if orbit_count is None:
@@ -183,7 +185,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "orbit_count": orbit_count,
         "orbit_sizes": orbit_sizes,
         "notes": result.method_notes,
-        "lemachorra": lem,
+        "lemachorra": result.lemachorra(),
     }
     if result.certificate is not None:
         cert = result.certificate
@@ -251,7 +253,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     config = build_config(args)
-    spec = families.FamilySpec(args.family, n=args.n, m=args.m, depth=args.depth)
+    spec = FamilySpec(args.family, n=args.n, m=args.m, depth=args.depth)
     g = families.generate(spec, cap=config.size_cap)
     try:
         expected = families.expected_constant(spec)
@@ -284,10 +286,25 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
-_SQ = math.sqrt
+# (group, row name, family) of every verify row whose expected value is
+# expected_constant(family).c_g
+_CLOSED_FORM_ROWS = (
+    [("complete", f"complete_n{n}", FamilySpec("complete", n=n)) for n in range(3, 9)]
+    + [("star", f"star_n{n}", FamilySpec("star", n=n)) for n in range(2, 10)]
+    + [("cycle", f"cycle_n{n}", FamilySpec("cycle", n=n)) for n in range(3, 13)]
+    + [
+        ("bipartite", f"K_{m}_{n}", FamilySpec("complete_bipartite", m=m, n=n))
+        for (m, n) in ((1, 2), (2, 3), (3, 3), (2, 5))
+    ]
+    + [("wheel", f"wheel_n{n}", FamilySpec("wheel", n=n)) for n in range(5, 11)]
+    + [("friendship", f"friendship_n{n}", FamilySpec("friendship", n=n)) for n in range(1, 6)]
+    + [("cocktail_party", f"cocktail_n{n}", FamilySpec("cocktail_party", n=n)) for n in range(2, 6)]
+    + [(name, name, FamilySpec(name)) for name in ("petersen", "hoffman_singleton")]
+)
 
 
 def _verify_rows(config: RunConfig, only: str | None):
+    """Verify rows; expected values come from expected_constant and smith_c0_table."""
     tol_c = 1e-6
 
     def run(g, **kw):
@@ -295,179 +312,79 @@ def _verify_rows(config: RunConfig, only: str | None):
             g, tol=config.tolerance_bisect, eig_tol=config.tolerance_eig, **kw
         )
 
-    def family(name, **params):
-        return families.generate(families.FamilySpec(name, **params), cap=config.size_cap)
+    def family(spec):
+        return families.generate(spec, cap=config.size_cap)
 
-    groups: list[tuple[str, list]] = []
+    def closed_form_row(spec):
+        return run(family(spec)).c_g, families.expected_constant(spec).c_g, tol_c
 
-    groups.append(
-        (
-            "complete",
-            [
-                (f"complete_n{n}", lambda n=n: (run(family("complete", n=n)).c_g, float(n), tol_c))
-                for n in range(3, 9)
-            ],
-        )
-    )
-    groups.append(
-        (
-            "star",
-            [
-                (f"star_n{n}", lambda n=n: (run(family("star", n=n)).c_g, 1 + _SQ(n), tol_c))
-                for n in range(2, 10)
-            ],
-        )
-    )
-    groups.append(
-        (
-            "cycle",
-            [
-                (f"cycle_n{n}", lambda n=n: (run(family("cycle", n=n)).c_g, 3.0, tol_c))
-                for n in range(3, 13)
-            ],
-        )
-    )
-    groups.append(
-        (
-            "bipartite",
-            [
-                (
-                    f"K_{m}_{n}",
-                    lambda m=m, n=n: (
-                        run(family("complete_bipartite", m=m, n=n)).c_g,
-                        1 + _SQ(m * n),
-                        tol_c,
-                    ),
-                )
-                for (m, n) in ((1, 2), (2, 3), (3, 3), (2, 5))
-            ],
-        )
-    )
-    groups.append(
-        (
-            "wheel",
-            [
-                (f"wheel_n{n}", lambda n=n: (run(family("wheel", n=n)).c_g, 2 + _SQ(n), tol_c))
-                for n in range(5, 11)
-            ],
-        )
-    )
-    groups.append(
-        (
-            "friendship",
-            [
-                (
-                    f"friendship_n{n}",
-                    lambda n=n: (
-                        run(family("friendship", n=n)).c_g,
-                        1 + 0.5 * (1 + _SQ(1 + 8 * n)),
-                        tol_c,
-                    ),
-                )
-                for n in range(1, 6)
-            ],
-        )
-    )
-    groups.append(
-        (
-            "cocktail_party",
-            [
-                (
-                    f"cocktail_n{n}",
-                    lambda n=n: (run(family("cocktail_party", n=n)).c_g, float(2 * n - 1), tol_c),
-                )
-                for n in range(2, 6)
-            ],
-        )
-    )
-    groups.append(
-        ("petersen", [("petersen", lambda: (run(family("petersen")).c_g, 4.0, tol_c))])
-    )
-    groups.append(
-        (
-            "hoffman_singleton",
-            [("hoffman_singleton", lambda: (run(family("hoffman_singleton")).c_g, 8.0, tol_c))],
-        )
-    )
+    rows = [
+        (group, name, lambda spec=spec: closed_form_row(spec))
+        for group, name, spec in _CLOSED_FORM_ROWS
+    ]
 
     def three_legs_row():
-        value = run(family("three_legs")).c_g
-        root = 1 + optimizer.poly_largest_root(families.THREE_LEGS_POLY)
+        spec = FamilySpec("three_legs")
+        value = run(family(spec)).c_g
+        root = families.expected_constant(spec).c_g
         ok = abs(value - root) <= 1e-6 and abs(value - 3.0861) <= 1e-4
         return value, root, 1e-6, ok
 
-    groups.append(("three_legs", [("three_legs", three_legs_row)]))
-
     def doyle_row():
-        g = family("doyle")
+        spec = FamilySpec("doyle")
+        expected = families.expected_constant(spec)
+        g = family(spec)
         res = run(g, certificate=True)
         counting = doubling_report(g, distances(g), counting_measure(g))
         ok = (
-            res.c_g_exact == Fraction(27, 5)
-            and counting.c_mu == Fraction(27, 5)
-            and abs(res.c_g - 5.4) <= tol_c
+            res.c_g_exact == expected.c_g_exact
+            and counting.c_mu == expected.c_g_exact
+            and abs(res.c_g - expected.c_g) <= tol_c
         )
-        return res.c_g, 5.4, tol_c, ok
-
-    groups.append(("doyle", [("doyle_27_5", doyle_row)]))
+        return res.c_g, expected.c_g, tol_c, ok
 
     def e8_row():
-        bound = optimizer.poly_largest_root(families.E8_RATIO_POLY)
-        value = run(family("e8")).c_g
+        spec = FamilySpec("e8")
+        bound = families.expected_constant(spec).c_g
+        value = run(family(spec)).c_g
         return value, bound, 1e-4, value >= bound - 1e-4
 
-    groups.append(("e8", [("e8_lower_bound", e8_row)]))
-
     def strict_lt3(name):
-        res = run(family(name), certificate=True)
+        res = run(family(FamilySpec(name)), certificate=True)
         assert res.certificate is not None
         exact = res.certificate.c_mu_exact
         return float(exact), 3.0, 1e-9, exact < 3 - Fraction(1, 10**9)
 
-    groups.append(("e6", [("e6_below_3", lambda: strict_lt3("e6"))]))
-    groups.append(("e7", [("e7_below_3", lambda: strict_lt3("e7"))]))
-
     def smith_row():
+        specs = [FamilySpec("path", n=n) for n in range(1, 31)]
+        specs += [FamilySpec("d_n", n=n) for n in range(4, 31)]
+        specs += [FamilySpec("cycle", n=n) for n in range(3, 31)]
+        specs += [FamilySpec("d_hat_n", n=n) for n in range(5, 31)]
+        specs += [FamilySpec(fam) for fam in ("e6", "e7", "e8", "e6_hat", "e7_hat", "e8_hat")]
         worst = 0.0
-        for spec, expected in _smith_specs():
-            g = families.generate(spec, cap=config.size_cap)
-            c0 = 1 + spectral.perron(g, tol=config.tolerance_eig).radius
-            worst = max(worst, abs(c0 - expected))
+        for spec in specs:
+            c0 = 1 + spectral.perron(family(spec), tol=config.tolerance_eig).radius
+            worst = max(worst, abs(c0 - families.smith_c0_table(spec)))
         return worst, 0.0, 1e-9, worst <= 1e-9
-
-    groups.append(("smith", [("smith_c0_table", smith_row)]))
 
     def path_threshold_row():
         good = True
         for n in range(2, 13):
-            rec = optimizer.check_lemachorra(family("path", n=n), tol=1e-7)
+            rec = optimizer.check_lemachorra(family(FamilySpec("path", n=n)), tol=1e-7)
             gap = rec["c_mu0_full"] - rec["c0"]
             good &= (gap <= 1e-7) if n <= 8 else (gap > 1e-4)
         return float(good), 1.0, 0.0, good
 
-    groups.append(("path_threshold", [("path_threshold_n8", path_threshold_row)]))
-
-    for group, rows in groups:
-        if only is not None and group != only:
-            continue
-        for name, fn in rows:
-            yield group, name, fn
-
-
-def _smith_specs():
-    for n in range(1, 31):
-        yield families.FamilySpec("path", n=n), 1 + 2 * math.cos(math.pi / (n + 1))
-    for n in range(4, 31):
-        yield families.FamilySpec("d_n", n=n), 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
-    for n in range(3, 31):
-        yield families.FamilySpec("cycle", n=n), 3.0
-    for n in range(5, 31):
-        yield families.FamilySpec("d_hat_n", n=n), 3.0
-    yield families.FamilySpec("e6"), 1 + 2 * math.cos(math.pi / 12)
-    yield families.FamilySpec("e7"), 1 + 2 * math.cos(math.pi / 18)
-    yield families.FamilySpec("e8"), 1 + 2 * math.cos(math.pi / 30)
-    for fam in ("e6_hat", "e7_hat", "e8_hat"):
-        yield families.FamilySpec(fam), 3.0
+    rows += [
+        ("three_legs", "three_legs", three_legs_row),
+        ("doyle", "doyle_27_5", doyle_row),
+        ("e8", "e8_lower_bound", e8_row),
+        ("e6", "e6_below_3", lambda: strict_lt3("e6")),
+        ("e7", "e7_below_3", lambda: strict_lt3("e7")),
+        ("smith", "smith_c0_table", smith_row),
+        ("path_threshold", "path_threshold_n8", path_threshold_row),
+    ]
+    return [row for row in rows if only is None or row[0] == only]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -515,7 +432,6 @@ def _batch_row(item: tuple[int, str, float, float, int]) -> dict:
         g = parse_graph6(line, cap=cap)
         dt = distances(g)
         res = optimizer.least_doubling(g, tol=tol, eig_tol=eig_tol, dt=dt)
-        lem = optimizer.check_lemachorra(g)
         return {
             "index": index,
             "n": g.n,
@@ -523,7 +439,7 @@ def _batch_row(item: tuple[int, str, float, float, int]) -> dict:
             "c0": res.lower_bound_spectral,
             "c_g": res.c_g,
             "gap": res.c_g - res.lower_bound_spectral,
-            "lemachorra_equal": bool(lem["equal"]),
+            "lemachorra_equal": bool(res.lemachorra()["equal"]),
         }
     except (ParseError, ValidationError, SolverError) as exc:
         return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
@@ -585,10 +501,13 @@ def cmd_truncate(args: argparse.Namespace) -> int:
 
 
 def _parse_depths(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ParseError(f"malformed --depths {text!r}: want a comma list or lo..hi") from None
 
 
 # ---------------------------------------------------------------- main

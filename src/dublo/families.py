@@ -1,5 +1,10 @@
 """Generators for every named graph family, expected constants, truncations.
 
+This module is the one home of the closed forms: ``expected_constant`` states
+C_G and C0 for every family that has one, and ``smith_c0_table`` holds the
+spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number) behind the
+generators' self-checks, the expected C0 values and ``dublo verify``.
+
 Each generator re-validates its output (vertex count, regularity, diameter,
 strongly-regular parameters or spectral closed form, as appropriate) and fails
 loudly on a mismatch, so a construction bug cannot silently ship a wrong
@@ -121,6 +126,14 @@ def _need_n(spec: FamilySpec, minimum: int) -> int:
     return spec.n
 
 
+_HATTED_LEGS = {
+    "e6_hat": (2, 2, 2),
+    "three_legs": (2, 2, 2),
+    "e7_hat": (1, 3, 3),
+    "e8_hat": (1, 2, 5),
+}
+
+
 def _legs_tree(legs: tuple[int, ...], cap: int | None) -> Graph:
     edges = []
     nxt = 1
@@ -133,8 +146,34 @@ def _legs_tree(legs: tuple[int, ...], cap: int | None) -> Graph:
     return Graph.from_edges(nxt, edges, cap=cap)
 
 
-def _check_radius(spec: FamilySpec, g: Graph, expected: float, tol: float = 1e-9) -> None:
+_COXETER = {"e6": 12, "e7": 18, "e8": 30}
+_RADIUS_TWO = ("cycle", "d_hat_n", *_HATTED_LEGS)
+
+
+def smith_c0_table(spec: FamilySpec) -> float:
+    """Closed-form C0 for the spectral-radius-two catalog and its neighbors.
+
+    The Dynkin trees A_n (paths), D_n and E6-E8 have spectral radius
+    2cos(pi/h), h their Coxeter number; cycles and the extended (hatted)
+    trees have radius exactly 2 (Smith's theorem).
+    """
+    fam = spec.family
+    if fam in _RADIUS_TWO:
+        return 3.0
+    if fam == "path":
+        coxeter = _need_n(spec, 1) + 1
+    elif fam == "d_n":
+        coxeter = 2 * (_need_n(spec, 4) - 1)
+    elif fam in _COXETER:
+        coxeter = _COXETER[fam]
+    else:
+        raise ValidationError(f"no Smith closed form for family {fam!r}")
+    return 1 + 2 * math.cos(math.pi / coxeter)
+
+
+def _check_radius(spec: FamilySpec, g: Graph, tol: float = 1e-9) -> None:
     radius = perron(g).radius
+    expected = smith_c0_table(spec) - 1
     if abs(radius - expected) > tol:
         _fail(spec, f"spectral radius {radius} != {expected}")
 
@@ -249,7 +288,7 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         n = _need_n(spec, 4)
         edges = [(i, i + 1) for i in range(n - 2)] + [(1, n - 1)]
         g = Graph.from_edges(n, edges, cap=cap)
-        _check_radius(spec, g, 2 * math.cos(math.pi / (2 * (n - 1))))
+        _check_radius(spec, g)
         return g
     if fam == "d_hat_n":
         n = _need_n(spec, 5)
@@ -257,26 +296,17 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         edges = [(i, i + 1) for i in range(core - 1)]
         edges += [(0, core), (0, core + 1), (core - 1, core + 2), (core - 1, core + 3)]
         g = Graph.from_edges(n, edges, cap=cap)
-        _check_radius(spec, g, 2.0)
+        _check_radius(spec, g)
         return g
     if fam in ("e6", "e7", "e8"):
         k = {"e6": 6, "e7": 7, "e8": 8}[fam]
         edges = [(i, i + 1) for i in range(k - 2)] + [(2, k - 1)]
         g = Graph.from_edges(k, edges, cap=cap)
-        coxeter = {"e6": 12, "e7": 18, "e8": 30}[fam]
-        _check_radius(spec, g, 2 * math.cos(math.pi / coxeter))
+        _check_radius(spec, g)
         return g
-    if fam in ("e6_hat", "three_legs"):
-        g = _legs_tree((2, 2, 2), cap)
-        _check_radius(spec, g, 2.0)
-        return g
-    if fam == "e7_hat":
-        g = _legs_tree((1, 3, 3), cap)
-        _check_radius(spec, g, 2.0)
-        return g
-    if fam == "e8_hat":
-        g = _legs_tree((1, 2, 5), cap)
-        _check_radius(spec, g, 2.0)
+    if fam in _HATTED_LEGS:
+        g = _legs_tree(_HATTED_LEGS[fam], cap)
+        _check_radius(spec, g)
         return g
     if fam == "doyle":
         g = Graph.from_edges(27, _DOYLE_EDGES, cap=cap)
@@ -338,12 +368,10 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
         return ExpectedConstant(1 + math.sqrt(n), 1 + math.sqrt(n), "exact")
     if fam == "cycle":
         _need_n(spec, 3)
-        return ExpectedConstant(3.0, 3.0, "exact", Fraction(3))
+        return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
     if fam == "path":
-        n = _need_n(spec, 1)
-        c0 = 1 + 2 * math.cos(math.pi / (n + 1))
         return ExpectedConstant(
-            None, c0, "c0_only",
+            None, smith_c0_table(spec), "c0_only",
             note="C < 3 with C -> 3 as n grows; C equals c0 iff n <= 8",
         )
     if fam == "complete_bipartite":
@@ -375,34 +403,30 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
             ),
         )
     if fam == "d_n":
-        n = _need_n(spec, 4)
-        c0 = 1 + 2 * math.cos(math.pi / (2 * (n - 1)))
         return ExpectedConstant(
-            None, c0, "c0_only",
+            None, smith_c0_table(spec), "c0_only",
             note="upper bound 3 is known exactly; strictness is reported numerically per n",
         )
     if fam == "d_hat_n":
         _need_n(spec, 5)
-        return ExpectedConstant(3.0, 3.0, "exact", Fraction(3))
+        return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
     if fam in ("e6", "e7"):
-        coxeter = 12 if fam == "e6" else 18
-        c0 = 1 + 2 * math.cos(math.pi / coxeter)
         return ExpectedConstant(
-            None, c0, "c0_only", note="C < 3, certified by an exact-rational measure"
+            None, smith_c0_table(spec), "c0_only",
+            note="C < 3, certified by an exact-rational measure",
         )
     if fam == "e8":
-        c0 = 1 + 2 * math.cos(math.pi / 30)
         bound = poly_largest_root(E8_RATIO_POLY)
         return ExpectedConstant(
-            bound, c0, "lower_bound_only",
+            bound, smith_c0_table(spec), "lower_bound_only",
             note="C >= largest root of its ratio polynomial; equality not asserted",
         )
     if fam in ("e6_hat", "three_legs"):
         value = 1 + poly_largest_root(THREE_LEGS_POLY)
-        return ExpectedConstant(value, 3.0, "exact")
+        return ExpectedConstant(value, smith_c0_table(spec), "exact")
     if fam in ("e7_hat", "e8_hat"):
         return ExpectedConstant(
-            None, 3.0, "c0_only", note="C > 3 (Perron-measure comparison)"
+            None, smith_c0_table(spec), "c0_only", note="C > 3 (Perron-measure comparison)"
         )
     if fam == "doyle":
         return ExpectedConstant(5.4, 5.0, "exact", Fraction(27, 5))

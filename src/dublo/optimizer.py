@@ -29,12 +29,13 @@ from .doubling import (
 )
 from .errors import SizeCapError, SolverError, ValidationError
 from .graphs import DistanceTable, Graph, distances
-from .spectral import DEFAULT_EIG_TOL, c0_constant, perron, perron_measure
+from .spectral import DEFAULT_EIG_TOL, perron
 from .symmetry import OrbitPartition, orbit_partition
 
 DEFAULT_BISECT_TOL = 1e-9
 BISECT_ITERATION_CAP = 60
 EXACT_CONSTRAINT_CAP = 2000
+LEMACHORRA_TOL = 1e-7
 _FEAS_EPS = 1e-11
 
 
@@ -197,8 +198,13 @@ class OptimizationResult:
     lower_bound_spectral: float
     method_notes: dict
     minimizer_report: DoublingReport
+    perron_report: DoublingReport  # full report of the Perron measure
     certificate: Certificate | None = None
     c_g_exact: Fraction | None = None
+
+    def lemachorra(self) -> dict:
+        """The check_lemachorra record, from this run's Perron pass."""
+        return _lemachorra_record(self.lower_bound_spectral, self.perron_report, LEMACHORRA_TOL)
 
 
 def _rationalize_above(t: float, pad: float) -> Fraction:
@@ -229,8 +235,7 @@ def least_doubling(
     if tol <= 0:
         raise ValidationError("tolerance must be > 0")
     dt = dt or distances(g)
-    spectrum = perron(g, eig_tol)
-    c0 = 1.0 + spectrum.radius
+    c0, mu0, report0 = _perron_pass(g, dt, eig_tol)
     notes: dict = {
         "diam": dt.diam,
         "k_max": max_radius_index(dt.diam),
@@ -241,9 +246,6 @@ def least_doubling(
         "counting_cross_check": None,
         "lp_solves": 0,
     }
-
-    mu0 = Measure(tuple(float(w) for w in spectrum.eigvec))
-    report0 = doubling_report(g, dt, mu0)
 
     if dt.diam <= 2 and not force_bisection:
         notes["diam2_shortcut"] = True
@@ -258,6 +260,7 @@ def least_doubling(
             lower_bound_spectral=c0,
             method_notes=notes,
             minimizer_report=report0,
+            perron_report=report0,
             certificate=result_cert,
         )
 
@@ -333,9 +336,19 @@ def least_doubling(
         lower_bound_spectral=c0,
         method_notes=notes,
         minimizer_report=minimizer_report,
+        perron_report=report0,
         certificate=cert,
         c_g_exact=c_g_exact,
     )
+
+
+def _perron_pass(
+    g: Graph, dt: DistanceTable, eig_tol: float
+) -> tuple[float, Measure, DoublingReport]:
+    """C0 = 1 + r(A_G), the Perron measure and its full doubling report."""
+    spectrum = perron(g, eig_tol)
+    mu0 = Measure(tuple(float(w) for w in spectrum.eigvec))
+    return 1.0 + spectrum.radius, mu0, doubling_report(g, dt, mu0)
 
 
 def _try_orbits(g: Graph, enabled: bool, notes: dict) -> OrbitPartition | None:
@@ -394,15 +407,17 @@ def _exact_certificate(
     raise SolverError(f"exact certificate not found near t = {t_hi}")
 
 
-def check_lemachorra(g: Graph, tol: float = 1e-7) -> dict:
+def check_lemachorra(g: Graph, tol: float = LEMACHORRA_TOL) -> dict:
     """Compare the Perron measure's full constant against C_G^0.
 
     Equality (within tol) certifies C_G = C_G^0 without running the optimizer.
     """
-    dt = distances(g)
-    c0 = c0_constant(g)
-    mu0 = perron_measure(g)
-    c_full = float(doubling_report(g, dt, mu0).c_mu)
+    c0, _, report0 = _perron_pass(g, distances(g), DEFAULT_EIG_TOL)
+    return _lemachorra_record(c0, report0, tol)
+
+
+def _lemachorra_record(c0: float, perron_report: DoublingReport, tol: float) -> dict:
+    c_full = float(perron_report.c_mu)
     return {"c0": c0, "c_mu0_full": c_full, "equal": c_full - c0 <= tol}
 
 

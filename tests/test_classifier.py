@@ -147,6 +147,12 @@ def test_smith_values():
     )
 
 
+def test_smith_table_has_one_home():
+    from dublo import classifier, families
+
+    assert classifier.smith_c0_table is families.smith_c0_table is smith_c0_table
+
+
 def test_smith_unsupported():
     with pytest.raises(ValidationError):
         smith_c0_table(FamilySpec("petersen"))

@@ -267,3 +267,74 @@ def test_config_file_flags_win(tmp_path, capsys):
     )
     assert code == EXIT_OK
     json.loads(out)
+
+
+# ---------------------------------------------------------------- one pass per graph
+
+
+def test_compute_lemachorra_uses_run_eig_tol(capsys):
+    code, out, _ = run_cli(
+        capsys, "compute", "--family", "path", "--n", "30", "--eig-tol", "1e-3"
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["lemachorra"]["c0"] == payload["c0"]
+
+
+def _count_perron_calls(monkeypatch) -> list:
+    """Wrap perron at every binding inside the package; returns the call log."""
+    import sys
+
+    from dublo import optimizer, spectral
+
+    original = spectral.perron
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dublo") and getattr(module, "perron", None) is original:
+            monkeypatch.setattr(module, "perron", counted)
+    assert spectral.perron is counted and optimizer.perron is counted
+    return calls
+
+
+def test_compute_calls_perron_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tree.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n")
+    calls = _count_perron_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "compute", "--input", str(path))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_batch_line_calls_perron_once(tmp_path, capsys, monkeypatch):
+    from dublo import FamilySpec, generate
+
+    path = tmp_path / "one.g6"
+    path.write_text(write_graph6(generate(FamilySpec("e7"))) + "\n")
+    calls = _count_perron_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "batch", "--input", str(path))
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == 1
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- malformed input
+
+
+@pytest.mark.parametrize("depths", ["x", "1..x"])
+def test_truncate_malformed_depths_is_parse_error(capsys, depths):
+    code, _, err = run_cli(capsys, "truncate", "--family", "path_N", "--depths", depths)
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize("line", ["tolerance_bisect = abc", "size_cap = 1.5"])
+def test_config_malformed_number_is_parse_error(tmp_path, capsys, line):
+    cfg = tmp_path / "dublo.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "compute", "--family", "petersen", "--config", str(cfg))
+    assert code == EXIT_PARSE
+    assert "parse error" in err
