@@ -1,9 +1,9 @@
 """dublo: least doubling constants and spectral theory on finite graphs.
 
 Core objects: Graph / DistanceTable / Measure; the restricted doubling
-constants and their optimizer (LP-feasibility bisection with orbit reduction
-and exact-rational certificates); generators for the named graph families;
-and the structural classifier for the C_G <= 3 catalog.
+constants and their optimizer (LP-feasibility bisection reduced by distance
+colour refinement, exact-rational certificates); generators for the named
+graph families; and the structural classifier for the C_G <= 3 catalog.
 """
 
 from .classifier import ClassificationVerdict, classify_leq3, structural_lower_bound

@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import classifier, families, optimizer, spectral, symmetry
+from . import classifier, families, optimizer, spectral
 from .doubling import counting_measure, doubling_report, load_measure_text
 from .errors import ParseError, SizeCapError, SolverError, ValidationError
 from .families import FamilySpec
@@ -162,15 +164,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         eig_tol=config.tolerance_eig,
         dt=dt,
     )
-    orbit_count = result.method_notes.get("orbit_count")
-    orbit_sizes = None
-    if orbit_count is None:
-        try:
-            part = symmetry.orbit_partition(g)
-            orbit_count = len(part.orbits)
-            orbit_sizes = sorted(len(o) for o in part.orbits)
-        except SizeCapError:
-            pass
+    class_sizes = sorted(Counter(result.classes).values())
     payload = {
         "schema": SCHEMA,
         "n": g.n,
@@ -182,8 +176,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "bracket": list(result.bracket),
         "minimizer": list(result.minimizer.weights),
         "minimizer_c_mu": float(result.minimizer_report.c_mu),
-        "orbit_count": orbit_count,
-        "orbit_sizes": orbit_sizes,
+        "orbit_count": len(class_sizes),
+        "orbit_sizes": class_sizes,
         "notes": result.method_notes,
         "lemachorra": result.lemachorra(),
     }
@@ -454,8 +448,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
         (i, ln, config.tolerance_bisect, config.tolerance_eig, config.size_cap)
         for i, ln in lines
     ]
-    if config.parallelism > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    # a fork-started pool launches all its workers at once: cap by lines and cores
+    workers = min(config.parallelism, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_row, items, chunksize=4))
     else:
         rows = [_batch_row(item) for item in items]

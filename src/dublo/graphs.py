@@ -195,7 +195,9 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
 def parse_graph6(data: bytes | str, cap: int | None = None) -> Graph:
     """Decode one standard graph6 record into a connected Graph."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        if not data.isascii():
+            raise ParseError("non-ASCII character in graph6 record")
+        data = data.encode("ascii")
     data = data.strip()
     if data.startswith(_G6_HEADER.encode()):
         data = data[len(_G6_HEADER):]

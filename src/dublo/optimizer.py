@@ -5,8 +5,8 @@ homogeneous system mu(B(v, 2k+1)) <= t * mu(B(v, k)) (all centers v, all radius
 indices k) admits a strictly positive solution; scaling makes that equivalent
 to a solution with mu >= 1.  The sublevel sets are convex cones, so bisection
 between the spectral lower bound 1 + r(A_G) and any cheap feasible constant
-converges to C_G.  Symmetric minimizers always exist on finite graphs, which
-lets the LP collapse vertices into automorphism orbits.
+converges to C_G.  The LP keeps one variable and one row per class of a
+distance colour refinement, which is exact (see ``_distance_classes``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .doubling import (
 from .errors import SizeCapError, SolverError, ValidationError
 from .graphs import DistanceTable, Graph, distances
 from .spectral import DEFAULT_EIG_TOL, perron
-from .symmetry import OrbitPartition, orbit_partition
+from .symmetry import orbit_partition
 
 DEFAULT_BISECT_TOL = 1e-9
 BISECT_ITERATION_CAP = 60
@@ -40,42 +40,34 @@ _FEAS_EPS = 1e-11
 
 
 class FeasibilityProblem:
-    """Linearized doubling constraints for one graph, optionally orbit-reduced.
+    """Linearized doubling constraints for one graph, optionally class-reduced.
 
-    Variables are per-vertex weights, or per-orbit weights when an orbit
-    partition is supplied (one representative row per orbit then suffices,
-    because orbit-constant measures make same-orbit rows identical).
+    Variables are per-vertex weights, or per-class weights when ``classes``
+    (each vertex's class in an equitable partition, such as
+    ``OrbitPartition.orbit_of``) is supplied; one row per class then suffices,
+    because class-constant measures make same-class rows identical.
     """
 
     def __init__(
         self,
         g: Graph,
         dt: DistanceTable | None = None,
-        orbits: OrbitPartition | None = None,
+        classes: Sequence[int] | None = None,
     ):
         self.g = g
         self.dt = dt or distances(g)
         self.k_max = max_radius_index(self.dt.diam)
-        self.orbits = orbits
-        dist = self.dt.dist
-        if orbits is None or len(orbits.orbits) == g.n:
-            self.reps = list(range(g.n))
-            self.var_sizes = np.ones(g.n)
-            member_count = np.eye(g.n)
-            self._expand_map = None
-        else:
-            self.reps = [orbit[0] for orbit in orbits.orbits]
-            self.var_sizes = np.array([len(o) for o in orbits.orbits], dtype=float)
-            member_count = np.zeros((g.n, len(orbits.orbits)))
-            for v, o in enumerate(orbits.orbit_of):
-                member_count[v, o] = 1.0
-            self._expand_map = orbits.orbit_of
+        self._expand_map = np.arange(g.n) if classes is None else np.asarray(classes)
+        member_count = np.eye(self._expand_map.max() + 1)[self._expand_map]
+        _, first = np.unique(self._expand_map, return_index=True)
+        self.reps = first.tolist()
+        self.var_sizes = member_count.sum(axis=0)
         self.n_vars = member_count.shape[1]
-        # integer counts |B(rep, r) ∩ orbit| for every radius needed
-        self.count: list[np.ndarray] = []
-        for r in range(2 * self.k_max + 2):
-            rows = (dist[self.reps] <= r).astype(float) @ member_count
-            self.count.append(rows)
+        # integer counts |B(rep, r) ∩ class| for every radius needed
+        self.count = [
+            (self.dt.dist[self.reps] <= r).astype(float) @ member_count
+            for r in range(2 * self.k_max + 2)
+        ]
 
     @property
     def constraint_count(self) -> int:
@@ -87,9 +79,7 @@ class FeasibilityProblem:
         return len(self.reps) * (self.k_max + 1)
 
     def expand(self, weights: Sequence) -> tuple:
-        if self._expand_map is None:
-            return tuple(weights)
-        return tuple(weights[self._expand_map[v]] for v in range(self.g.n))
+        return tuple(weights[c] for c in self._expand_map)
 
     def check(self, t: float) -> Measure | None:
         """Float LP: minimal max-violation over the weight simplex.
@@ -172,12 +162,12 @@ def feasible(
     g: Graph,
     dt: DistanceTable | None = None,
     t: float = 2.0,
-    orbits: OrbitPartition | None = None,
+    classes: Sequence[int] | None = None,
 ) -> Measure | None:
     """Measure with mu >= 1 and all doubling ratios <= t, or None."""
     if t < 1:
         raise ValidationError("candidate constant must be >= 1")
-    return FeasibilityProblem(g, dt, orbits).check(t)
+    return FeasibilityProblem(g, dt, classes).check(t)
 
 
 @dataclass(frozen=True)
@@ -199,6 +189,7 @@ class OptimizationResult:
     method_notes: dict
     minimizer_report: DoublingReport
     perron_report: DoublingReport  # full report of the Perron measure
+    classes: tuple[int, ...]  # reduction class of every vertex, numbered by first vertex
     certificate: Certificate | None = None
     c_g_exact: Fraction | None = None
 
@@ -226,33 +217,33 @@ def least_doubling(
 ) -> OptimizationResult:
     """Compute C_G with a bracketing interval of width <= tol.
 
-    Shortcuts: diameter <= 2 forces C_G = 1 + r(A_G); vertex-transitive graphs
-    are cross-checked against the counting measure, which is then a minimizer.
-    ``certificate=True`` additionally produces an exact-rational feasible
-    measure slightly above the bracket (exact equality for the transitive
-    case, where the counting constant is a rational).
+    Shortcuts: diameter <= 2 forces C_G = 1 + r(A_G); with a single reduction
+    class the counting measure is a minimizer, cross-checked against the
+    bisection and reported as the exact ``c_g_exact``.  ``certificate=True``
+    additionally produces an exact-rational feasible measure slightly above
+    the bracket (exact equality in the single-class case).
     """
     if tol <= 0:
         raise ValidationError("tolerance must be > 0")
     dt = dt or distances(g)
+    classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
+    class_count = max(classes) + 1
+    problem = FeasibilityProblem(g, dt, classes)
     c0, mu0, report0 = _perron_pass(g, dt, eig_tol)
     notes: dict = {
         "diam": dt.diam,
         "k_max": max_radius_index(dt.diam),
         "diam2_shortcut": False,
         "vertex_transitive": False,
-        "orbit_reduction": False,
-        "orbit_count": None,
+        "orbit_reduction": class_count < g.n,
+        "orbit_count": class_count,
         "counting_cross_check": None,
         "lp_solves": 0,
     }
 
     if dt.diam <= 2 and not force_bisection:
         notes["diam2_shortcut"] = True
-        result_cert = None
-        if certificate:
-            problem = FeasibilityProblem(g, dt, _try_orbits(g, orbit_reduction, notes))
-            result_cert = _certificate_or_fallback(problem, c0, tol, notes)
+        result_cert = _certificate_or_fallback(problem, c0, tol, notes) if certificate else None
         return OptimizationResult(
             c_g=c0,
             bracket=(c0, c0),
@@ -261,16 +252,12 @@ def least_doubling(
             method_notes=notes,
             minimizer_report=report0,
             perron_report=report0,
+            classes=classes,
             certificate=result_cert,
         )
 
-    orbits = _try_orbits(g, orbit_reduction, notes)
-    transitive = orbits is not None and len(orbits.orbits) == 1
-
     counting_report = doubling_report(g, dt, counting_measure(g))
     c_counting = counting_report.c_mu  # exact Fraction-valued rational
-
-    problem = FeasibilityProblem(g, dt, orbits)
 
     t_lo = c0
     t_hi = min(float(report0.c_mu), float(c_counting))
@@ -307,19 +294,19 @@ def least_doubling(
         )
 
     c_g_exact = None
-    if transitive:
+    if class_count == 1:
         notes["vertex_transitive"] = True
         notes["counting_cross_check"] = float(c_counting)
         if abs(float(c_counting) - t_hi) > max(10 * tol, 1e-8):
             raise SolverError(
-                "vertex-transitive cross-check failed: counting constant "
+                "single-class cross-check failed: counting constant "
                 f"{float(c_counting)} vs bisection {t_hi}"
             )
         c_g_exact = Fraction(c_counting)
 
     cert = None
     if certificate:
-        if transitive:
+        if class_count == 1:
             cert = Certificate(
                 t=Fraction(c_counting),
                 measure=counting_measure(g),
@@ -337,6 +324,7 @@ def least_doubling(
         method_notes=notes,
         minimizer_report=minimizer_report,
         perron_report=report0,
+        classes=classes,
         certificate=cert,
         c_g_exact=c_g_exact,
     )
@@ -351,29 +339,39 @@ def _perron_pass(
     return 1.0 + spectrum.radius, mu0, doubling_report(g, dt, mu0)
 
 
-def _try_orbits(g: Graph, enabled: bool, notes: dict) -> OrbitPartition | None:
-    if not enabled:
-        return None
-    try:
-        orbits = orbit_partition(g)
-    except SizeCapError:
-        return None
-    notes["orbit_count"] = len(orbits.orbits)
-    notes["orbit_reduction"] = len(orbits.orbits) < g.n
-    return orbits if len(orbits.orbits) < g.n else None
+def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
+    """Class of every vertex under colour refinement of the distance colouring.
+
+    From one class, each round splits vertices by their sorted (distance,
+    class) pairs, the first round by their sorted distance rows, until the
+    class count stops growing.  Classes are numbered by their first vertex,
+    as ``orbit_partition`` numbers orbits.
+
+    The reduction is exact because the stable partition is equitable: each
+    ball matrix satisfies B_r S = S Q_r for the class indicator matrix S.
+    B_r is symmetric, so averaging over classes commutes with it and maps a
+    measure with mu(B(v, 2k+1)) <= t mu(B(v, k)) to a class-constant one.
+    Automorphisms preserve every signature, so classes are never finer than
+    the Aut(G) orbits.
+    """
+    colour = np.zeros(dt.n, dtype=np.int64)
+    count = 1
+    while True:
+        signatures = np.sort(dt.dist * count + colour, axis=1)
+        _, first, inverse = np.unique(signatures, axis=0, return_index=True, return_inverse=True)
+        colour = np.argsort(np.argsort(first))[inverse.ravel()]
+        if len(first) == count:
+            return tuple(colour.tolist())
+        count = len(first)
 
 
 def _counting_slacks(problem: FeasibilityProblem, t: Fraction) -> tuple[Fraction, ...]:
-    ones = [Fraction(1)] * problem.n_vars
-    slacks = []
-    for k in range(problem.k_max + 1):
-        num = problem.count[2 * k + 1]
-        den = problem.count[k]
-        for i in range(len(problem.reps)):
-            n_val = sum(Fraction(int(num[i, j])) * ones[j] for j in range(problem.n_vars))
-            d_val = sum(Fraction(int(den[i, j])) * ones[j] for j in range(problem.n_vars))
-            slacks.append(t * d_val - n_val)
-    return tuple(slacks)
+    """Exact slacks t |B(v, k)| - |B(v, 2k+1)| of the counting measure, per row."""
+    return tuple(
+        t * int(problem.count[k][i].sum()) - int(problem.count[2 * k + 1][i].sum())
+        for k in range(problem.k_max + 1)
+        for i in range(len(problem.reps))
+    )
 
 
 def _certificate_or_fallback(

@@ -49,6 +49,14 @@ def test_compute_family_cocktail_party(capsys):
     assert payload["c_g"] == pytest.approx(5.0, abs=1e-9)
 
 
+def test_compute_reports_class_sizes(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--family", "path", "--n", "9")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["orbit_count"] == 5
+    assert payload["orbit_sizes"] == [1, 2, 2, 2, 2]
+
+
 def test_compute_with_measure_file(tmp_path, capsys):
     graph = tmp_path / "c5.txt"
     graph.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
@@ -224,6 +232,44 @@ def test_batch_skips_malformed(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 1 and payload["skipped"] == 1
     assert "skipping line" in err
+
+
+def test_batch_skips_non_ascii_record(tmp_path, capsys):
+    # K6 is "E~~w"; a non-ASCII body character must not decode as another graph
+    path = tmp_path / "mangled.g6"
+    path.write_text("E\u00e9~w\nE~~w\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "batch", "--input", str(path))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["skipped"] == 1
+    assert [row["index"] for row in payload["rows"]] == [1]
+
+
+def test_batch_workers_capped_by_line_count(tmp_path, capsys, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("dublo.cli.ProcessPoolExecutor", SerialPool)
+    path = tmp_path / "three.g6"
+    path.write_text("A_\nBw\nCF\n")
+    _, serial, _ = run_cli(capsys, "batch", "--input", str(path), "--output", "csv")
+    _, wide, _ = run_cli(
+        capsys, "batch", "--input", str(path), "--output", "csv", "--jobs", "64"
+    )
+    assert wide == serial
+    assert all(w <= 3 for w in workers)
 
 
 def test_batch_empty_file(tmp_path, capsys):

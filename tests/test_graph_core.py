@@ -113,6 +113,12 @@ def test_graph6_trailing_bits_rejected():
         parse_graph6("A" + chr(63 + 0b010001))
 
 
+def test_graph6_non_ascii_rejected():
+    # a replaced character would read as '?', a valid all-zero body byte
+    with pytest.raises(ParseError, match="non-ASCII"):
+        parse_graph6("E\u00e9~w")
+
+
 def test_graph6_malformed_header():
     with pytest.raises(ParseError):
         parse_graph6(bytes([5, 70]))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,13 @@ from dublo import (
     doubling_report,
     feasible,
     generate,
+    is_vertex_transitive,
     least_doubling,
     poly_largest_root,
 )
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec
 
-from util import connected_graphs_exactly, random_connected_graph
+from util import G10, connected_graphs_exactly, random_connected_graph
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
 
@@ -71,7 +73,7 @@ def test_feasibility_problem_orbit_reduction_rows():
     from dublo import orbit_partition
 
     g = generate(FamilySpec("three_legs"))
-    problem = FeasibilityProblem(g, distances(g), orbit_partition(g))
+    problem = FeasibilityProblem(g, distances(g), orbit_partition(g).orbit_of)
     assert problem.n_vars == 3
     assert problem.reduced_rows == 3 * 3
     assert problem.constraint_count == 7 * 3  # full count unchanged
@@ -118,6 +120,25 @@ def test_least_doubling_doyle_certificate_exact():
     assert res.certificate is not None
     assert res.certificate.c_mu_exact == Fraction(27, 5)
     assert res.method_notes["vertex_transitive"]
+
+
+def test_single_class_without_transitivity_is_exact():
+    # one refinement class but two Aut orbits: every ball size is still
+    # vertex-independent, so the counting measure is optimal
+    assert not is_vertex_transitive(G10)
+    res = least_doubling(G10, certificate=True)
+    assert set(res.classes) == {0}
+    assert res.c_g_exact == 5
+    assert res.certificate is not None and res.certificate.c_mu_exact == 5
+
+
+def test_single_class_above_orbit_search_cap():
+    g = generate(FamilySpec("cycle", n=260))
+    start = time.perf_counter()
+    res = least_doubling(g)
+    assert time.perf_counter() - start < 2.0
+    assert res.c_g_exact == 3
+    assert res.method_notes["orbit_count"] == 1
 
 
 def test_three_legs_explicit_optimal_weights():

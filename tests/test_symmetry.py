@@ -1,6 +1,7 @@
 """Automorphism groups, orbits, symmetrization, vertex transitivity."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from dublo import (
     SizeCapError,
     automorphisms,
     ball,
+    catalog,
     counting_measure,
     distances,
     doubling_report,
@@ -23,7 +25,7 @@ from dublo import (
 )
 from dublo.families import FamilySpec
 
-from util import random_connected_graph, random_int_measure
+from util import G10, G18, random_connected_graph, random_int_measure
 
 
 def test_k4_group_order_24():
@@ -196,13 +198,33 @@ def test_orbit_reduced_and_full_lp_agree():
         FamilySpec("path", n=9),
         FamilySpec("e7_hat"),
     ]
-    for spec in specs:
-        g = generate(spec)
+    rand = random.Random(1307)
+    others = [G18, G10] + [random_connected_graph(rand, rand.randint(2, 9)) for _ in range(12)]
+    for i, g in enumerate([generate(spec) for spec in specs] + others):
         reduced = least_doubling(g, tol=1e-9, orbit_reduction=True)
         full = least_doubling(g, tol=1e-9, orbit_reduction=False)
-        assert abs(reduced.c_g - full.c_g) <= 5e-9, spec
-        assert reduced.method_notes["orbit_reduction"]
+        assert abs(reduced.c_g - full.c_g) <= 5e-9, g.edges()
+        assert reduced.method_notes["orbit_reduction"] or i >= len(specs)
         assert not full.method_notes["orbit_reduction"]
+
+
+def test_reduction_classes_are_equitable_unions_of_orbits():
+    rand = random.Random(1994)
+    graphs = [g for _, g in catalog()] + [G18, G10]
+    graphs += [random_connected_graph(rand, rand.randint(2, 10)) for _ in range(20)]
+    for g in graphs:
+        classes = least_doubling(g).classes
+        assert list(dict.fromkeys(classes)) == list(range(max(classes) + 1))
+        dist = distances(g).dist
+        profiles: dict = {}
+        for v in range(g.n):
+            profile = Counter((int(dist[v, w]), classes[w]) for w in range(g.n))
+            assert profiles.setdefault(classes[v], profile) == profile, g.edges()
+        if max(classes) > 0:  # a single class holds every orbit; skips HS's search
+            for orbit in orbit_partition(g).orbits:
+                assert len({classes[v] for v in orbit}) == 1, g.edges()
+    # the refinement is strictly coarser than the orbits here
+    assert max(least_doubling(G18).classes) + 1 == 8 < len(orbit_partition(G18).orbits)
 
 
 def test_e8_has_trivial_group():

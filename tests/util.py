@@ -38,6 +38,24 @@ def random_float_measure(rand: random.Random, n: int) -> Measure:
     return Measure(tuple(rand.uniform(0.05, 10.0) for _ in range(n)))
 
 
+def _graph_from_pairs(n: int, text: str) -> Graph:
+    return Graph.from_edges(n, [tuple(map(int, pair.split("-"))) for pair in text.split()])
+
+
+# cubic; 8 distance colour refinement classes but 9 Aut orbits; C_G = 4.131504664197564
+G18 = _graph_from_pairs(
+    18,
+    "0-2 0-5 0-13 1-7 1-8 1-14 2-9 2-16 3-4 3-11 3-13 4-5 4-14 5-16 6-8 6-9 6-14 "
+    "7-12 7-15 8-12 9-10 10-11 10-13 11-15 12-17 15-17 16-17",
+)
+
+# 4-regular, diameter 3, not vertex-transitive, yet a single refinement class
+G10 = _graph_from_pairs(
+    10,
+    "0-2 0-3 0-5 0-8 1-2 1-4 1-7 1-9 2-4 2-7 3-5 3-6 3-8 4-5 4-9 5-6 6-8 6-9 7-8 7-9",
+)
+
+
 # ---------------------------------------------------------------- graph6 oracle
 
 
