@@ -13,7 +13,6 @@ from .doubling import (
     counting_measure,
     doubling_report,
     dump_measure_text,
-    full_constant,
     load_measure_text,
     max_radius_index,
     mediant_max,
@@ -27,6 +26,7 @@ from .families import (
     expected_constant,
     generate,
     grid_ray_truncation,
+    poly_largest_root,
     smith_c0_table,
     truncation_study,
 )
@@ -52,7 +52,6 @@ from .optimizer import (
     check_lemachorra,
     feasible,
     least_doubling,
-    poly_largest_root,
 )
 from .spectral import SpectralResult, c0_constant, chromatic_number, perron, perron_measure
 from .symmetry import (
@@ -101,7 +100,6 @@ __all__ = [
     "dump_measure_text",
     "expected_constant",
     "feasible",
-    "full_constant",
     "generate",
     "grid_ray_truncation",
     "is_vertex_transitive",

@@ -56,17 +56,28 @@ class RunConfig:
             raise ValidationError("parallelism must be >= 1")
 
 
-def _read_file(path: str) -> str:
+def _read_input(source: str, errors: str = "strict") -> str:
+    """UTF-8 text of the file ``source``, or of stdin for "-", whatever the locale.
+
+    Bytes that are not UTF-8 are a ParseError; ``errors="surrogateescape"``
+    keeps them as lone surrogates, so a reader can reject just their lines.
+    """
     try:
-        return Path(path).read_text()
+        if source == "-":
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()  # io.StringIO has no bytes
+        else:
+            data = Path(source).read_bytes()
+        return data if isinstance(data, str) else data.decode("utf-8", errors)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _parse_config_file(path: str) -> dict:
     """Flat TOML-style 'key = value' file; only RunConfig keys are accepted."""
     values: dict = {}
-    for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,7 +154,7 @@ def read_graph(args: argparse.Namespace, config: RunConfig) -> Graph:
     source = getattr(args, "input", None)
     if source is None:
         raise ParseError("need --input PATH|- or --family NAME")
-    text = sys.stdin.read() if source == "-" else _read_file(source)
+    text = _read_input(source)
     if getattr(args, "format", "edgelist") == "g6":
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
         return parse_graph6(first, cap=config.size_cap)
@@ -191,7 +202,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "slacks": list(cert.slacks),
         }
     if getattr(args, "measure", None):
-        mu = load_measure_text(_read_file(args.measure), g)
+        mu = load_measure_text(_read_input(args.measure), g)
         rep = doubling_report(g, dt, mu)
         payload["measure_report"] = {
             "c_mu": rep.c_mu,
@@ -441,8 +452,8 @@ def _batch_row(item: tuple[int, str, float, float, int]) -> dict:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = build_config(args)
-    source = args.input
-    text = sys.stdin.read() if source == "-" else _read_file(source)
+    # parse_graph6 rejects the surrogates of a non-UTF-8 record as non-ASCII
+    text = _read_input(args.input, errors="surrogateescape")
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     items = [
         (i, ln, config.tolerance_bisect, config.tolerance_eig, config.size_cap)

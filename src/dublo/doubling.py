@@ -2,13 +2,20 @@
 
 The full doubling constant of a measure reduces, for finite diameter, to the
 radius pairs ``(k, 2k+1)`` with ``0 <= k <= ceil((diam-1)/2)``; larger radii
-are redundant because the balls saturate.  Computations run in float mode for
-speed or exactly over ``fractions.Fraction`` when every weight is exact, which
-is what certificate-grade comparisons at the C = 3 boundary use.
+are redundant because the balls saturate.  Every ball mass comes from one
+table, ``mass[i, r] = mu(B(c_i, r))`` for ``r = 0..diam``, built by one
+histogram pass over the distance rows and a cumulative sum; one helper turns
+its doubling radii into the per-k maxima and witnesses.  Exact measures
+(every weight an int or ``Fraction``) are scaled to integers by the lcm of
+their denominators, so exact evaluation is the float computation run on
+integer arrays, and its ratios are exact ``Fraction`` values, which is what
+certificate-grade comparisons at the C = 3 boundary use.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -17,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graphs import DistanceTable, Graph, ball_matrix, distances
+from .graphs import DistanceTable, Graph
 
 Weight = float | int | Fraction
 
@@ -52,10 +59,6 @@ class Measure:
     def is_exact(self) -> bool:
         return all(isinstance(w, Rational) for w in self.weights)
 
-    @property
-    def total(self) -> Weight:
-        return sum(self.weights)
-
     def mass(self, vertices) -> Weight:
         return sum(self.weights[v] for v in vertices)
 
@@ -69,10 +72,6 @@ class Measure:
 
     def as_array(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights], dtype=np.float64)
-
-    @classmethod
-    def of(cls, weights: Sequence[Weight]) -> "Measure":
-        return cls(tuple(weights))
 
 
 def counting_measure(g: Graph) -> Measure:
@@ -99,11 +98,6 @@ class DoublingReport:
         return isinstance(self.c_mu, Rational)
 
 
-def _check_measure(g: Graph, mu: Measure) -> None:
-    if len(mu) != g.n:
-        raise ValidationError(f"measure has {len(mu)} weights for a {g.n}-vertex graph")
-
-
 def restricted_constant(
     g: Graph, dt: DistanceTable, mu: Measure, k: int
 ) -> tuple[Weight, int]:
@@ -111,46 +105,72 @@ def restricted_constant(
 
     Ties go to the smallest vertex index.  Exact measures give exact ratios.
     """
-    _check_measure(g, mu)
     kmax = max_radius_index(dt.diam)
     if not 0 <= k <= kmax:
         raise ValidationError(f"radius index {k} outside 0..{kmax}")
-    if mu.is_exact:
-        dist = dt.dist
-        best: Fraction | None = None
-        witness = 0
-        for v in range(g.n):
-            row = dist[v]
-            num = Fraction(sum(mu[w] for w in np.flatnonzero(row <= 2 * k + 1)))
-            den = Fraction(sum(mu[w] for w in np.flatnonzero(row <= k)))
-            ratio = num / den
-            if best is None or ratio > best:
-                best, witness = ratio, v
-        assert best is not None
-        return best, witness
-    w = mu.as_array()
-    num = ball_matrix(dt, 2 * k + 1) @ w
-    den = ball_matrix(dt, k) @ w
-    ratios = num / den
-    witness = int(np.argmax(ratios))
-    return float(ratios[witness]), witness
+    return tuple(doubling_report(g, dt, mu).per_k[k][1:])
 
 
 def doubling_report(g: Graph, dt: DistanceTable, mu: Measure) -> DoublingReport:
     """Evaluate every restricted constant; C_mu is their maximum."""
-    _check_measure(g, mu)
-    kmax = max_radius_index(dt.diam)
-    per_k = tuple(
-        PerRadius(k, *restricted_constant(g, dt, mu, k)) for k in range(kmax + 1)
-    )
-    return DoublingReport(max(p.value for p in per_k), per_k, kmax)
+    if len(mu) != g.n:
+        raise ValidationError(f"measure has {len(mu)} weights for a {g.n}-vertex graph")
+    weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
+    masses = _ball_masses(dt.dist, weights, dt.diam)
+    per_k = tuple(PerRadius(k, *top) for k, top in enumerate(_max_ratios(masses)))
+    return DoublingReport(max(p.value for p in per_k), per_k, max_radius_index(dt.diam))
 
 
-def full_constant(g: Graph, mu: Measure, dt: DistanceTable | None = None) -> Weight:
-    """Convenience: C_mu without the per-radius breakdown."""
-    if dt is None:
-        dt = distances(g)
-    return doubling_report(g, dt, mu).c_mu
+def _scaled_integers(weights: Sequence[Weight]) -> tuple[np.ndarray, int]:
+    """Exact weights times the lcm of their denominators, and that lcm.
+
+    The dtype is int64, or object (Python ints) when the scaled total, which
+    bounds every ball mass, could overflow int64.
+    """
+    scale = math.lcm(*(Fraction(w).denominator for w in weights))
+    ints = [int(w * scale) for w in weights]
+    return np.array(ints, dtype=np.int64 if sum(ints) < 2**63 else object), scale
+
+
+def _ball_masses(
+    dist: np.ndarray, weights: np.ndarray, diam: int, classes: np.ndarray | None = None
+) -> np.ndarray:
+    """Ball masses around each row's centre at radii k, then 2k+1, for k = 0..k_max.
+
+    One histogram pass adds each weight to the bucket of its distance from
+    each centre, a cumulative sum over r = 0..diam makes the table
+    mass[i, r] = mu(B(c_i, r)), and the doubling radii are read from it (2k+1
+    capped at diam, where balls saturate).  ``classes`` splits each bucket
+    by the class of the vertex, adding a last axis.  The dtype is the weights'.
+    """
+    shape: tuple[int, ...] = (dist.shape[0], diam + 1)
+    index = (np.arange(dist.shape[0])[:, None], dist)
+    if classes is not None:
+        shape += (int(classes.max()) + 1,)
+        index += (classes,)
+    buckets = np.zeros(shape, dtype=weights.dtype)
+    np.add.at(buckets, index, weights)
+    np.cumsum(buckets, axis=1, out=buckets)
+    ks = np.arange(max_radius_index(diam) + 1)
+    return buckets[:, np.concatenate([ks, np.minimum(2 * ks + 1, diam)])]
+
+
+def _max_ratios(masses: np.ndarray) -> list[tuple[Weight, int]]:
+    """Per k, the largest mass(2k+1) / mass(k) over the rows of ``_ball_masses``, and its row.
+
+    Ties go to the smallest row.  Float masses give floats; integer masses
+    give exact Fractions, the float ratios only picking the candidates.
+    """
+    den, num = np.split(masses, 2, axis=1)
+    ratios = (num / den).astype(np.float64)
+    if masses.dtype.kind == "f":
+        return list(zip(ratios.max(axis=0).tolist(), ratios.argmax(axis=0).tolist()))
+    best = []
+    for k, top in enumerate(ratios.max(axis=0)):
+        near = np.flatnonzero(ratios[:, k] >= top * (1 - 1e-9)).tolist()
+        exact = [Fraction(int(num[i, k]), int(den[i, k])) for i in near]
+        best.append(max(zip(exact, near), key=lambda pair: pair[0]))  # first, so smallest row
+    return best
 
 
 class MediantResult(NamedTuple):
@@ -167,21 +187,16 @@ def mediant_max(pairs: Sequence[tuple[Weight, Weight]]) -> MediantResult:
     """
     if not pairs:
         raise ValidationError("mediant_max needs at least one pair")
-    exact = all(
-        isinstance(a, Rational) and isinstance(b, Rational) for a, b in pairs
-    )
+    exact = all(isinstance(x, Rational) for pair in pairs for x in pair)
+    div = Fraction if exact else operator.truediv
     ratios: list[Weight] = []
     for a, b in pairs:
         if a <= 0 or b <= 0:
             raise ValidationError(f"non-positive entry in pair ({a}, {b})")
-        ratios.append(Fraction(a) / Fraction(b) if exact else a / b)
+        ratios.append(div(a, b))
     value = max(ratios)
-    if exact:
-        mediant = Fraction(sum(a for a, _ in pairs)) / Fraction(sum(b for _, b in pairs))
-        equal = all(r == value for r in ratios)
-    else:
-        mediant = sum(a for a, _ in pairs) / sum(b for _, b in pairs)
-        equal = all(abs(r - value) <= 1e-12 * abs(value) for r in ratios)
+    mediant = div(sum(a for a, _ in pairs), sum(b for _, b in pairs))
+    equal = all(abs(r - value) <= (0 if exact else 1e-12) * abs(value) for r in ratios)
     return MediantResult(value, mediant, equal)
 
 

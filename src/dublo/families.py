@@ -23,16 +23,71 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import ValidationError
 from .graphs import Graph, distances, structural_facts
-from .optimizer import poly_largest_root
 from .spectral import perron
 from .symmetry import is_vertex_transitive
 
 THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
 E8_RATIO_POLY = (1.0, -6.0, 11.0, -4.0, -10.0, 14.0, -8.0, 2.0, 0.0)
+
+
+def poly_largest_root(
+    coeffs: Sequence[float], tol: float = 1e-12, floor: float | None = None
+) -> float:
+    """Largest real root of a polynomial (coefficients highest degree first).
+
+    Brackets from the Cauchy bound and scans downward for the rightmost sign
+    change, then bisects to tol.
+    """
+    coeffs = [float(c) for c in coeffs]
+    if not coeffs or coeffs[0] == 0:
+        raise ValidationError("leading coefficient must be non-zero")
+
+    def p(x: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    cauchy = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0]) if len(coeffs) > 1 else 1.0
+    lo_limit = -cauchy if floor is None else floor
+    hi = cauchy
+    steps = 4096
+    xs = np.linspace(hi, lo_limit, steps + 1)
+    vals = [p(float(x)) for x in xs]
+    bracket = None
+    for i in range(steps):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            return float(xs[i])
+        if a * b < 0:
+            bracket = (float(xs[i + 1]), float(xs[i]))
+            break
+    else:
+        if vals[-1] == 0.0:
+            return float(xs[-1])
+        raise ValidationError("no real root found above the search floor")
+    lo, hi = bracket
+    flo = p(lo)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = p(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 FAMILY_NAMES = (
     "complete",

@@ -23,6 +23,9 @@ from . import exactlp
 from .doubling import (
     DoublingReport,
     Measure,
+    _ball_masses,
+    _max_ratios,
+    _scaled_integers,
     counting_measure,
     doubling_report,
     max_radius_index,
@@ -58,16 +61,14 @@ class FeasibilityProblem:
         self.dt = dt or distances(g)
         self.k_max = max_radius_index(self.dt.diam)
         self._expand_map = np.arange(g.n) if classes is None else np.asarray(classes)
-        member_count = np.eye(self._expand_map.max() + 1)[self._expand_map]
-        _, first = np.unique(self._expand_map, return_index=True)
+        _, first, sizes = np.unique(self._expand_map, return_index=True, return_counts=True)
         self.reps = first.tolist()
-        self.var_sizes = member_count.sum(axis=0)
-        self.n_vars = member_count.shape[1]
-        # integer counts |B(rep, r) ∩ class| for every radius needed
-        self.count = [
-            (self.dt.dist[self.reps] <= r).astype(float) @ member_count
-            for r in range(2 * self.k_max + 2)
-        ]
+        self.var_sizes = sizes.astype(float)
+        self.n_vars = len(first)
+        # |B(rep, r) ∩ class| at the doubling radii: count @ w is a class-constant mass table
+        self.count = _ball_masses(
+            self.dt.dist[self.reps], np.ones(g.n, dtype=np.int64), self.dt.diam, self._expand_map
+        )
 
     @property
     def constraint_count(self) -> int:
@@ -90,8 +91,8 @@ class FeasibilityProblem:
         the LP's internal tolerances did.  Raises SolverError on breakdown.
         """
         nv = self.n_vars
-        rows = [self.count[2 * k + 1] - t * self.count[k] for k in range(self.k_max + 1)]
-        a = np.vstack(rows)
+        den, num = self._row_counts()
+        a = num - t * den
         m = a.shape[0]
         a_ub = np.hstack([a, -np.ones((m, 1))])
         c = np.zeros(nv + 1)
@@ -123,14 +124,20 @@ class FeasibilityProblem:
         full = full / full.min()
         return Measure(tuple(float(x) for x in full))
 
+    def _row_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Counts at radii k and 2k+1, one row per (k, representative), k-major."""
+        den, num = np.split(self.count, 2, axis=1)
+        return tuple(c.transpose(1, 0, 2).reshape(-1, self.n_vars) for c in (den, num))
+
     def max_ratio(self, weights: np.ndarray) -> float:
         """Largest doubling ratio of a (reduced) weight vector, evaluated directly."""
-        worst = 1.0
-        for k in range(self.k_max + 1):
-            num = self.count[2 * k + 1] @ weights
-            den = self.count[k] @ weights
-            worst = max(worst, float((num / den).max()))
-        return worst
+        return max(value for value, _ in _max_ratios(self.count @ weights))
+
+    def slacks(self, weights: Sequence, t: Fraction) -> tuple[Fraction, ...]:
+        """Exact t mu(B(v, k)) - mu(B(v, 2k+1)) per row of a rational (reduced) measure."""
+        ints, scale = _scaled_integers(self.expand(weights))
+        den, num = np.split(self.count.astype(ints.dtype, copy=False) @ ints[self.reps], 2, axis=1)
+        return tuple(((t * den.astype(object) - num) / scale).T.ravel())
 
     def check_exact(self, t: Fraction) -> tuple[Measure, tuple[Fraction, ...]] | None:
         """Exact-rational feasibility at rational t; measure plus per-row slacks."""
@@ -139,23 +146,11 @@ class FeasibilityProblem:
                 f"exact mode capped at {EXACT_CONSTRAINT_CAP} constraints, "
                 f"got {self.constraint_count}"
             )
-        rows: list[list[Fraction]] = []
-        for k in range(self.k_max + 1):
-            num = self.count[2 * k + 1]
-            den = self.count[k]
-            for i in range(len(self.reps)):
-                rows.append(
-                    [
-                        Fraction(int(num[i, j])) - t * Fraction(int(den[i, j]))
-                        for j in range(self.n_vars)
-                    ]
-                )
-        x = exactlp.feasible_min_one(rows)
+        den, num = self._row_counts()
+        x = exactlp.feasible_min_one((num.astype(object) - t * den.astype(object)).tolist())
         if x is None:
             return None
-        slacks = tuple(-sum(a * xi for a, xi in zip(row, x)) for row in rows)
-        mu = Measure(self.expand(x))
-        return mu, slacks
+        return Measure(self.expand(x)), self.slacks(x, t)
 
 
 def feasible(
@@ -256,15 +251,10 @@ def least_doubling(
             certificate=result_cert,
         )
 
-    counting_report = doubling_report(g, dt, counting_measure(g))
-    c_counting = counting_report.c_mu  # exact Fraction-valued rational
-
+    c_counting = doubling_report(g, dt, counting_measure(g)).c_mu  # an exact Fraction
     t_lo = c0
-    t_hi = min(float(report0.c_mu), float(c_counting))
-    best_mu = (
-        counting_measure(g) if float(c_counting) <= float(report0.c_mu) else mu0
-    )
-    t_hi = max(t_hi, t_lo)
+    t_hi = max(min(float(report0.c_mu), float(c_counting)), t_lo)
+    best_mu = counting_measure(g) if float(c_counting) <= float(report0.c_mu) else mu0
 
     start = problem.check(t_lo + min(tol, 1e-12))
     notes["lp_solves"] += 1
@@ -311,7 +301,7 @@ def least_doubling(
                 t=Fraction(c_counting),
                 measure=counting_measure(g),
                 c_mu_exact=Fraction(c_counting),
-                slacks=_counting_slacks(problem, Fraction(c_counting)),
+                slacks=problem.slacks((1,), Fraction(c_counting)),
             )
         else:
             cert = _certificate_or_fallback(problem, t_hi, tol, notes)
@@ -363,15 +353,6 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
         if len(first) == count:
             return tuple(colour.tolist())
         count = len(first)
-
-
-def _counting_slacks(problem: FeasibilityProblem, t: Fraction) -> tuple[Fraction, ...]:
-    """Exact slacks t |B(v, k)| - |B(v, 2k+1)| of the counting measure, per row."""
-    return tuple(
-        t * int(problem.count[k][i].sum()) - int(problem.count[2 * k + 1][i].sum())
-        for k in range(problem.k_max + 1)
-        for i in range(len(problem.reps))
-    )
 
 
 def _certificate_or_fallback(
@@ -518,76 +499,9 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     if parts == 2:
         a = np.arange(1, total, dtype=np.int64)
         return np.stack([a, total - a], axis=1)
-    if parts == 3:
-        blocks = []
-        for first in range(1, total - 1):
-            b = np.arange(1, total - first, dtype=np.int64)
-            blocks.append(
-                np.stack([np.full_like(b, first), b, total - first - b], axis=1)
-            )
-        return np.vstack(blocks)
     blocks = []
     for first in range(1, total - parts + 2):
         rest = _compositions(total - first, parts - 1)
         col = np.full((rest.shape[0], 1), first, dtype=np.int64)
         blocks.append(np.hstack([col, rest]))
     return np.vstack(blocks)
-
-
-def poly_largest_root(
-    coeffs: Sequence[float], tol: float = 1e-12, floor: float | None = None
-) -> float:
-    """Largest real root of a polynomial (coefficients highest degree first).
-
-    Brackets from the Cauchy bound and scans downward for the rightmost sign
-    change, then bisects to tol.
-    """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or coeffs[0] == 0:
-        raise ValidationError("leading coefficient must be non-zero")
-
-    def p(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    cauchy = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0]) if len(coeffs) > 1 else 1.0
-    lo_limit = -cauchy if floor is None else floor
-    hi = cauchy
-    steps = 4096
-    xs = np.linspace(hi, lo_limit, steps + 1)
-    vals = [p(float(x)) for x in xs]
-    bracket = None
-    for i in range(steps):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            return float(xs[i])
-        if a * b < 0:
-            bracket = (float(xs[i + 1]), float(xs[i]))
-            break
-    else:
-        if vals[-1] == 0.0:
-            return float(xs[-1])
-        raise ValidationError("no real root found above the search floor")
-    lo, hi = bracket
-    flo = p(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def oracle_gap(g: Graph, grid_resolution: int = 200, tol: float = DEFAULT_BISECT_TOL) -> float:
-    """|least_doubling - brute force| for small graphs; testing helper."""
-    bf = brute_force_details(g, grid_resolution)
-    lp = least_doubling(g, tol)
-    return abs(lp.c_g - bf.c_g)

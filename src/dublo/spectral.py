@@ -68,8 +68,13 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
         ax = matvec(x)
         ratios = ax / x
         spread = float(ratios.max() - ratios.min())
+        if not np.isfinite(spread):
+            raise SolverError(f"power iteration overflowed after {it} iterations")
         if spread <= tol:
-            radius = float(x @ ax / (x @ x))
+            # x @ ax / (x @ x) on x / 2^e: an exact scaling, so the same quotient, never overflowing
+            e = np.frexp(x.max())[1]
+            s = np.ldexp(x, -e)
+            radius = float(s @ np.ldexp(ax, -e) / (s @ s))
             u = x / x.max()
             residual = float(np.max(np.abs(matvec(u) - radius * u)))
             return SpectralResult(radius, x / x.min(), residual, it)

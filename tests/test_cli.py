@@ -289,6 +289,37 @@ def test_stdin_input(monkeypatch, capsys):
     assert json.loads(out)["c_g"] == 3.0
 
 
+def _byte_stdin(data: bytes):
+    import io
+
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+
+
+def test_batch_skips_non_utf8_record(tmp_path, monkeypatch, capsys):
+    # K6 is "E~~w"; the byte 0xe9 alone is not UTF-8, in any locale
+    data = b"E\xe9~w\nE~~w\n"
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", _byte_stdin(data))
+    for source in (str(path), "-"):
+        code, out, err = run_cli(capsys, "batch", "--input", source)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["skipped"] == 1 and [row["index"] for row in payload["rows"]] == [1]
+        assert "skipping line 0" in err
+
+
+def test_non_utf8_edge_list_is_parse_error(tmp_path, monkeypatch, capsys):
+    data = b"0 1\n1 \xe9\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", _byte_stdin(data))
+    for source in (str(path), "-"):
+        code, out, err = run_cli(capsys, "compute", "--input", source)
+        assert code == EXIT_PARSE and out == ""
+        assert "parse error" in err and "not UTF-8" in err
+
+
 def test_unreadable_file_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "compute", "--input", "/no/such/file.txt")
     assert code == EXIT_PARSE

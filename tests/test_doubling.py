@@ -1,8 +1,11 @@
 """Measures, restricted constants, doubling reports, mediant properties."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from dublo import (
     Measure,
     ValidationError,
+    ball_matrix,
     counting_measure,
     distances,
     doubling_report,
@@ -23,7 +27,7 @@ from dublo import (
 )
 from dublo.families import FamilySpec
 
-from util import random_connected_graph, random_int_measure
+from util import random_connected_graph, random_float_measure, random_int_measure
 
 
 def test_max_radius_index():
@@ -263,3 +267,68 @@ def test_measure_file_missing_vertex():
     g = parse_edge_list("0 1\n1 2")
     with pytest.raises(Exception, match="missing"):
         load_measure_text("0 1\n1 2\n", g)
+
+
+# ---------------------------------------------------------------- mass table vs reference
+
+
+def reference_per_k(g, dt, mu):
+    """Per-centre Fraction loop over explicit balls: an independent reference."""
+    out = []
+    for k in range(max_radius_index(dt.diam) + 1):
+        best, witness = None, 0
+        for v in range(g.n):
+            row = dt.dist[v]
+            num = Fraction(sum(mu[w] for w in np.flatnonzero(row <= 2 * k + 1)))
+            den = Fraction(sum(mu[w] for w in np.flatnonzero(row <= k)))
+            if best is None or num / den > best:
+                best, witness = num / den, v
+        out.append((k, best, witness))
+    return out
+
+
+def _measures(rand, n):
+    yield "counting", Measure((1,) * n)
+    yield "fraction", Measure(
+        tuple(Fraction(rand.randint(1, 60), rand.randint(1, 40)) for _ in range(n))
+    )
+    # scaled totals far above 2^63, so ball masses need Python ints
+    big = tuple(Fraction(rand.randint(2**63 // n, 2**66), rand.randint(1, 9)) for _ in range(n))
+    scale = math.lcm(*(w.denominator for w in big))
+    assert sum(w * scale for w in big) >= 2**63
+    yield "big", Measure(big)
+
+
+def test_exact_report_matches_reference_loop():
+    rand = random.Random(2718)
+    for _ in range(40):
+        g = random_connected_graph(rand, rand.randint(1, 16), extra=rand.choice([0.0, 0.1, 0.4]))
+        dt = distances(g)
+        for kind, mu in _measures(rand, g.n):
+            report = doubling_report(g, dt, mu)
+            expected = reference_per_k(g, dt, mu)
+            assert [tuple(p) for p in report.per_k] == expected, kind
+            assert all(isinstance(p.value, Fraction) for p in report.per_k)
+            assert report.c_mu == max(value for _, value, _ in expected)
+
+
+def test_float_report_matches_ball_matrix_products():
+    rand = random.Random(31)
+    for _ in range(40):
+        g = random_connected_graph(rand, rand.randint(2, 16))
+        dt = distances(g)
+        mu = random_float_measure(rand, g.n)
+        w = mu.as_array()
+        for k, value, witness in doubling_report(g, dt, mu).per_k:
+            ratios = (ball_matrix(dt, 2 * k + 1) @ w) / (ball_matrix(dt, k) @ w)
+            assert value == pytest.approx(ratios.max(), rel=1e-14)
+            assert ratios[witness] == pytest.approx(ratios.max(), rel=1e-14)
+
+
+def test_exact_counting_report_path_300_is_fast():
+    g = generate(FamilySpec("path", n=300))
+    dt = distances(g)
+    start = time.perf_counter()
+    report = doubling_report(g, dt, counting_measure(g))
+    assert time.perf_counter() - start < 1.0
+    assert report.c_mu == 3 and report.per_k[0] == (0, Fraction(3), 1)

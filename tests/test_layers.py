@@ -1,0 +1,91 @@
+"""The package's modules import each other one way only, down the layer order.
+
+Layers, lowest first: errors, graphs, doubling/spectral/exactlp, symmetry,
+optimizer, families/classifier, cli; the package facade and ``__main__`` sit
+on top.  A module may import its own layer or any lower one, never a higher
+one, and the import graph has no cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import dublo
+
+LAYERS = (
+    ("errors",),
+    ("graphs",),
+    ("doubling", "spectral", "exactlp"),
+    ("symmetry",),
+    ("optimizer",),
+    ("families", "classifier"),
+    ("cli",),
+    ("__init__", "__main__"),
+)
+LAYER_OF = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+SRC = Path(dublo.__file__).parent
+
+
+def intra_package_imports(source: str) -> set[str]:
+    """Names of the package modules a module's source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:  # from .a import x
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.split(".")[0] == "dublo":
+                parts = node.module.split(".")
+                found.update([parts[1]] if len(parts) > 1 else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "dublo" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {path.stem: intra_package_imports(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def test_every_module_has_a_layer():
+    assert set(import_graph()) == set(LAYER_OF)
+
+
+def test_imports_point_down_the_layers():
+    wrong = [
+        f"{module} -> {target}"
+        for module, targets in import_graph().items()
+        for target in targets
+        if LAYER_OF[target] > LAYER_OF[module]
+    ]
+    assert wrong == []
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> None:
+        assert module not in path, " -> ".join(path + (module,))
+        if module not in done:
+            for target in graph[module]:
+                visit(target, path + (module,))
+            done.add(module)
+
+    for module in graph:
+        visit(module, ())
+
+
+def test_families_does_not_import_the_optimizer():
+    # families needs no LP: importing it must not pull in scipy.optimize
+    assert "optimizer" not in import_graph()["families"]
+
+
+def test_import_parser_sees_every_form():
+    source = (
+        "import numpy\nfrom . import a, b\nfrom .c import x\nfrom dublo.d import y\n"
+        "from dublo import f\nimport dublo.e\ndef late():\n    from .g import z\n"
+    )
+    assert intra_package_imports(source) == {"a", "b", "c", "d", "e", "f", "g"}

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dublo import (
@@ -254,6 +255,43 @@ def test_certificate_exact_measure_verifies():
     report = doubling_report(g, distances(g), cert.measure)
     assert report.c_mu == cert.c_mu_exact
     assert cert.c_mu_exact <= cert.t
+
+
+def _direct_slacks(g, classes, mu, t):
+    """t mu(B(v, k)) - mu(B(v, 2k+1)) per (k, first vertex of each class), summed directly."""
+    dt = distances(g)
+    reps = [classes.index(c) for c in range(max(classes) + 1)]
+
+    def ball(v, r):
+        return sum(Fraction(mu[w]) for w in range(g.n) if dt.dist[v][w] <= r)
+
+    k_max = dt.diam // 2
+    return tuple(t * ball(v, k) - ball(v, 2 * k + 1) for k in range(k_max + 1) for v in reps)
+
+
+def test_certificate_slacks_are_the_direct_row_sums():
+    graphs = [generate(FamilySpec(name)) for name in ("e6", "e7", "three_legs", "doyle")]
+    graphs += [generate(FamilySpec("d_n", n=7)), generate(FamilySpec("cycle", n=9))]
+    rand = random.Random(77)
+    graphs += [random_connected_graph(rand, rand.randint(4, 9)) for _ in range(4)]
+    for g in graphs:
+        res = least_doubling(g, certificate=True)
+        cert = res.certificate
+        assert cert is not None
+        assert cert.slacks == _direct_slacks(g, list(res.classes), cert.measure, cert.t)
+
+
+def test_max_ratio_is_the_report_constant():
+    rand = random.Random(78)
+    for _ in range(10):
+        g = random_connected_graph(rand, rand.randint(3, 12))
+        dt = distances(g)
+        res = least_doubling(g, dt=dt)
+        problem = FeasibilityProblem(g, dt, res.classes)
+        weights = [res.minimizer[v] for v in problem.reps]
+        assert problem.max_ratio(np.array(weights)) == pytest.approx(
+            float(doubling_report(g, dt, res.minimizer).c_mu), rel=1e-13
+        )
 
 
 # ---------------------------------------------------------------- lemachorra

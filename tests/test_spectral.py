@@ -2,12 +2,15 @@
 
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from dublo import (
     Graph,
     SizeCapError,
+    SolverError,
     ball,
     c0_constant,
     chromatic_number,
@@ -186,3 +189,40 @@ def test_chromatic_bounded_by_c0_on_catalog():
     for name, g in catalog(max_n=64):
         chi = chromatic_number(g)
         assert chi <= c0_constant(g) + 1e-9, name
+
+
+def _tailed(core_edges, core_n: int, tail: int, anchor: int = 0) -> Graph:
+    """A core graph with a path of ``tail`` extra vertices hanging from ``anchor``."""
+    edges = list(core_edges)
+    prev = anchor
+    for v in range(core_n, core_n + tail):
+        edges.append((prev, v))
+        prev = v
+    return Graph.from_edges(core_n + tail, edges)
+
+
+def _clique_edges(k: int):
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def test_perron_radius_on_vectors_spanning_huge_ranges():
+    # min-1 Perron vectors here reach ~1e299 and ~1e229: x @ x overflows
+    cases = [
+        _tailed(_clique_edges(100), 100, 150),
+        _tailed([(0, i) for i in range(1, 201)], 201, 200),
+    ]
+    for g in cases:
+        res = perron(g)
+        top = np.linalg.eigvalsh(g.adjacency_matrix())[-1]
+        assert abs(res.radius - top) <= 1e-10
+        assert np.isfinite(res.eigvec).all() and res.eigvec.min() == 1.0
+        assert res.residual <= 1e-10
+
+
+def test_perron_overflow_fails_fast():
+    # the min-1 Perron vector of K_150 with a 160-vertex tail exceeds the float range
+    g = _tailed(_clique_edges(150), 150, 160)
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="overflowed"):
+        perron(g)
+    assert time.perf_counter() - start < 2.0
