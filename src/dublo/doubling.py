@@ -9,7 +9,8 @@ its doubling radii into the per-k maxima and witnesses.  Exact measures
 (every weight an int or ``Fraction``) are scaled to integers by the lcm of
 their denominators, so exact evaluation is the float computation run on
 integer arrays, and its ratios are exact ``Fraction`` values, which is what
-certificate-grade comparisons at the C = 3 boundary use.
+certificate-grade comparisons at the C = 3 boundary use; ``exact_slacks``
+reads the certificate's per-row slacks from the same table.
 """
 
 from __future__ import annotations
@@ -171,6 +172,23 @@ def _max_ratios(masses: np.ndarray) -> list[tuple[Weight, int]]:
         exact = [Fraction(int(num[i, k]), int(den[i, k])) for i in near]
         best.append(max(zip(exact, near), key=lambda pair: pair[0]))  # first, so smallest row
     return best
+
+
+def exact_slacks(
+    dt: DistanceTable, mu: Measure, t: Fraction | None = None
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact t mu(B(v, k)) - mu(B(v, 2k+1)) for every (k, v) row, k-major, and t.
+
+    ``mu`` must be exact.  Without ``t`` it is the measure's own C_mu, read
+    from the same integer table, so the least slack is then exactly 0.
+    """
+    ints, scale = _scaled_integers(mu.weights)
+    masses = _ball_masses(dt.dist, ints, dt.diam)
+    if t is None:
+        t = max(value for value, _ in _max_ratios(masses))
+    den, num = np.split(masses.astype(object), 2, axis=1)
+    p, q = t.numerator, t.denominator
+    return t, tuple(Fraction(int(s), q * scale) for s in (p * den - q * num).T.ravel())
 
 
 class MediantResult(NamedTuple):

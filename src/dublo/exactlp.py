@@ -1,9 +1,11 @@
 """Exact rational feasibility for homogeneous ratio constraints.
 
 Solves: find x >= 1 (componentwise) with A x <= 0, all entries Fractions,
-via a dense phase-1 simplex with Bland's rule (finite termination).  Sizes
-here are small -- certificate mode is only engaged for desk-scale systems --
-so a plain tableau is the simplest trustworthy choice.
+via a dense phase-1 simplex with Bland's rule (finite termination).  It is
+not on the compute path: ``least_doubling`` certifies its float minimizer
+directly.  ``FeasibilityProblem.check_exact`` wraps it as the independent
+exact reference that the C = 3 boundary tests compare against, so a plain
+tableau on desk-scale systems is the simplest trustworthy choice.
 """
 
 from __future__ import annotations

@@ -19,15 +19,14 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from . import exactlp
 from .doubling import (
     DoublingReport,
     Measure,
     _ball_masses,
     _max_ratios,
-    _scaled_integers,
     counting_measure,
     doubling_report,
+    exact_slacks,
     max_radius_index,
 )
 from .errors import SizeCapError, SolverError, ValidationError
@@ -133,14 +132,14 @@ class FeasibilityProblem:
         """Largest doubling ratio of a (reduced) weight vector, evaluated directly."""
         return max(value for value, _ in _max_ratios(self.count @ weights))
 
-    def slacks(self, weights: Sequence, t: Fraction) -> tuple[Fraction, ...]:
-        """Exact t mu(B(v, k)) - mu(B(v, 2k+1)) per row of a rational (reduced) measure."""
-        ints, scale = _scaled_integers(self.expand(weights))
-        den, num = np.split(self.count.astype(ints.dtype, copy=False) @ ints[self.reps], 2, axis=1)
-        return tuple(((t * den.astype(object) - num) / scale).T.ravel())
-
     def check_exact(self, t: Fraction) -> tuple[Measure, tuple[Fraction, ...]] | None:
-        """Exact-rational feasibility at rational t; measure plus per-row slacks."""
+        """Exact-rational feasibility at rational t; measure plus per-row slacks.
+
+        A dense Fraction simplex, kept off the compute path as the independent
+        exact reference that boundary tests compare against.
+        """
+        from . import exactlp
+
         if self.constraint_count > EXACT_CONSTRAINT_CAP:
             raise SizeCapError(
                 f"exact mode capped at {EXACT_CONSTRAINT_CAP} constraints, "
@@ -150,7 +149,8 @@ class FeasibilityProblem:
         x = exactlp.feasible_min_one((num.astype(object) - t * den.astype(object)).tolist())
         if x is None:
             return None
-        return Measure(self.expand(x)), self.slacks(x, t)
+        mu = Measure(self.expand(x))
+        return mu, exact_slacks(self.dt, mu, t)[1]
 
 
 def feasible(
@@ -167,7 +167,12 @@ def feasible(
 
 @dataclass(frozen=True)
 class Certificate:
-    """Exact-rational feasibility witness: C_G <= t with the measure in hand."""
+    """Exact witness of C_G <= t: the reported minimizer with exact weights.
+
+    ``t`` is the measure's exact C_mu (``c_mu_exact``), and ``slacks`` holds
+    t mu(B(v, k)) - mu(B(v, 2k+1)) for every vertex v and radius index k,
+    k-major, so the certificate does not rest on the class reduction.
+    """
 
     t: Fraction
     measure: Measure
@@ -193,13 +198,6 @@ class OptimizationResult:
         return _lemachorra_record(self.lower_bound_spectral, self.perron_report, LEMACHORRA_TOL)
 
 
-def _rationalize_above(t: float, pad: float) -> Fraction:
-    q = Fraction(t + pad).limit_denominator(10**12)
-    while float(q) < t + pad / 2:
-        q += Fraction(1, 10**12)
-    return q
-
-
 def least_doubling(
     g: Graph,
     tol: float = DEFAULT_BISECT_TOL,
@@ -214,59 +212,46 @@ def least_doubling(
 
     Shortcuts: diameter <= 2 forces C_G = 1 + r(A_G); with a single reduction
     class the counting measure is a minimizer, cross-checked against the
-    bisection and reported as the exact ``c_g_exact``.  ``certificate=True``
-    additionally produces an exact-rational feasible measure slightly above
-    the bracket (exact equality in the single-class case).
+    bracket and reported as the exact ``c_g_exact``.  ``certificate=True``
+    certifies the reported minimizer: its float weights are exact dyadic
+    rationals, so its exact C_mu, an upper bound on C_G, and every row slack
+    are read from the integer ball-mass table, with no second solve.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be > 0")
     dt = dt or distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
     class_count = max(classes) + 1
-    problem = FeasibilityProblem(g, dt, classes)
+    shortcut = dt.diam <= 2 and not force_bisection
     c0, mu0, report0 = _perron_pass(g, dt, eig_tol)
+    c_counting = None  # an exact Fraction, needed by the bisection and the single-class check
+    if class_count == 1 or not shortcut:
+        c_counting = doubling_report(g, dt, counting_measure(g)).c_mu
     notes: dict = {
         "diam": dt.diam,
         "k_max": max_radius_index(dt.diam),
-        "diam2_shortcut": False,
-        "vertex_transitive": False,
+        "diam2_shortcut": shortcut,
+        "vertex_transitive": class_count == 1,
         "orbit_reduction": class_count < g.n,
         "orbit_count": class_count,
-        "counting_cross_check": None,
+        "counting_cross_check": float(c_counting) if class_count == 1 else None,
         "lp_solves": 0,
     }
 
-    if dt.diam <= 2 and not force_bisection:
-        notes["diam2_shortcut"] = True
-        result_cert = _certificate_or_fallback(problem, c0, tol, notes) if certificate else None
-        return OptimizationResult(
-            c_g=c0,
-            bracket=(c0, c0),
-            minimizer=mu0,
-            lower_bound_spectral=c0,
-            method_notes=notes,
-            minimizer_report=report0,
-            perron_report=report0,
-            classes=classes,
-            certificate=result_cert,
-        )
-
-    c_counting = doubling_report(g, dt, counting_measure(g)).c_mu  # an exact Fraction
-    t_lo = c0
-    t_hi = max(min(float(report0.c_mu), float(c_counting)), t_lo)
-    best_mu = counting_measure(g) if float(c_counting) <= float(report0.c_mu) else mu0
-
-    start = problem.check(t_lo + min(tol, 1e-12))
-    notes["lp_solves"] += 1
-    if start is not None:
-        t_hi = t_lo
-        best_mu = start
+    if shortcut:
+        t_lo, t_hi, best_mu, minimizer_report = c0, c0, mu0, report0
     else:
+        problem = FeasibilityProblem(g, dt, classes)
+        t_lo = c0
+        t_hi = max(min(float(report0.c_mu), float(c_counting)), t_lo)
+        best_mu = counting_measure(g) if float(c_counting) <= float(report0.c_mu) else mu0
+        start = problem.check(t_lo + min(tol, 1e-12))
+        notes["lp_solves"] += 1
+        if start is not None:
+            t_hi, best_mu = t_lo, start
         while t_hi - t_lo > tol:
             if notes["lp_solves"] >= BISECT_ITERATION_CAP:
-                raise SolverError(
-                    f"bisection exceeded {BISECT_ITERATION_CAP} LP solves"
-                )
+                raise SolverError(f"bisection exceeded {BISECT_ITERATION_CAP} LP solves")
             mid = 0.5 * (t_lo + t_hi)
             found = problem.check(mid)
             notes["lp_solves"] += 1
@@ -275,36 +260,27 @@ def least_doubling(
             else:
                 t_hi = mid
                 best_mu = found
-
-    minimizer_report = doubling_report(g, dt, best_mu)
-    if float(minimizer_report.c_mu) > t_hi + 1e-9:
-        raise SolverError(
-            "re-verification failed: minimizer constant "
-            f"{float(minimizer_report.c_mu)} exceeds bracket {t_hi}"
-        )
+        minimizer_report = doubling_report(g, dt, best_mu)
+        if float(minimizer_report.c_mu) > t_hi + 1e-9:
+            raise SolverError(
+                "re-verification failed: minimizer constant "
+                f"{float(minimizer_report.c_mu)} exceeds bracket {t_hi}"
+            )
 
     c_g_exact = None
     if class_count == 1:
-        notes["vertex_transitive"] = True
-        notes["counting_cross_check"] = float(c_counting)
         if abs(float(c_counting) - t_hi) > max(10 * tol, 1e-8):
             raise SolverError(
                 "single-class cross-check failed: counting constant "
-                f"{float(c_counting)} vs bisection {t_hi}"
+                f"{float(c_counting)} vs bracket {t_hi}"
             )
         c_g_exact = Fraction(c_counting)
 
     cert = None
     if certificate:
-        if class_count == 1:
-            cert = Certificate(
-                t=Fraction(c_counting),
-                measure=counting_measure(g),
-                c_mu_exact=Fraction(c_counting),
-                slacks=problem.slacks((1,), Fraction(c_counting)),
-            )
-        else:
-            cert = _certificate_or_fallback(problem, t_hi, tol, notes)
+        exact_mu = Measure(tuple(Fraction(w) for w in best_mu.weights))
+        t, slacks = exact_slacks(dt, exact_mu)
+        cert = Certificate(t=t, measure=exact_mu, c_mu_exact=t, slacks=slacks)
 
     return OptimizationResult(
         c_g=t_hi,
@@ -353,37 +329,6 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
         if len(first) == count:
             return tuple(colour.tolist())
         count = len(first)
-
-
-def _certificate_or_fallback(
-    problem: FeasibilityProblem, t_hi: float, tol: float, notes: dict
-) -> Certificate | None:
-    """Exact certificate, or None (with a note) past the exact-mode size cap.
-
-    The float route already re-verifies the minimizer's constant directly, so
-    falling back keeps the result checked, just not exact-rational.
-    """
-    try:
-        return _exact_certificate(problem, t_hi, tol)
-    except SizeCapError as exc:
-        notes["certificate_fallback"] = str(exc)
-        return None
-
-
-def _exact_certificate(
-    problem: FeasibilityProblem, t_hi: float, tol: float
-) -> Certificate:
-    pad = max(2 * tol, 2e-9)
-    for attempt in range(3):
-        t_exact = _rationalize_above(t_hi, pad * (10**attempt))
-        found = problem.check_exact(t_exact)
-        if found is not None:
-            mu, slacks = found
-            rep = doubling_report(problem.g, problem.dt, mu)
-            return Certificate(
-                t=t_exact, measure=mu, c_mu_exact=Fraction(rep.c_mu), slacks=slacks
-            )
-    raise SolverError(f"exact certificate not found near t = {t_hi}")
 
 
 def check_lemachorra(g: Graph, tol: float = LEMACHORRA_TOL) -> dict:

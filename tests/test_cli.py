@@ -43,6 +43,22 @@ def test_compute_family_petersen(capsys):
     assert payload["c_g"] == pytest.approx(4.0, abs=1e-9)
 
 
+def test_single_class_diameter_two_reports_counting_exactly(capsys):
+    for argv, exact in (
+        (["petersen"], "4/1"),
+        (["clebsch"], "6/1"),
+        (["complete", "--n", "5"], "5/1"),
+        (["cocktail_party", "--n", "4"], "7/1"),
+    ):
+        code, out, _ = run_cli(capsys, "compute", "--family", *argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["orbit_count"] == 1 and payload["notes"]["diam2_shortcut"], argv
+        assert payload["notes"]["vertex_transitive"], argv
+        assert payload["c_g_exact"] == exact, argv
+        assert payload["notes"]["counting_cross_check"] == payload["c_g"], argv
+
+
 def test_compute_family_cocktail_party(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "cocktail_party", "--n", "3")
     payload = json.loads(out)

@@ -83,6 +83,46 @@ def test_families_does_not_import_the_optimizer():
     assert "optimizer" not in import_graph()["families"]
 
 
+def exactlp_sites(source: str) -> set[str]:
+    """Qualified names of the functions (or "<module>") whose code names ``exactlp``."""
+    sites = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        named = (
+            (isinstance(node, ast.Name) and node.id == "exactlp")
+            or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "exactlp")
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exactlp"))
+        )
+        if named:
+            sites.add(".".join(scope) or "<module>")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_exact_simplex_is_named_only_by_check_exact():
+    # the dense Fraction simplex is the test reference, not a compute-path stage
+    sites = {
+        f"{path.stem}:{site}"
+        for path in SRC.glob("*.py")
+        if path.stem != "exactlp"
+        for site in exactlp_sites(path.read_text())
+    }
+    assert sites == {"optimizer:FeasibilityProblem.check_exact"}
+
+
+def test_exactlp_site_finder_sees_every_form():
+    source = (
+        "from . import exactlp\nclass A:\n    def f(self):\n        import dublo.exactlp\n"
+        "def g():\n    from .exactlp import feasible_min_one\ndef h():\n    return exactlp\n"
+    )
+    assert exactlp_sites(source) == {"<module>", "A.f", "g", "h"}
+
+
 def test_import_parser_sees_every_form():
     source = (
         "import numpy\nfrom . import a, b\nfrom .c import x\nfrom dublo.d import y\n"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from dublo import (
 )
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec
 
-from util import G10, connected_graphs_exactly, random_connected_graph
+from util import G10, connected_graphs_exactly, random_connected_graph, random_tree
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
 
@@ -257,28 +258,63 @@ def test_certificate_exact_measure_verifies():
     assert cert.c_mu_exact <= cert.t
 
 
-def _direct_slacks(g, classes, mu, t):
-    """t mu(B(v, k)) - mu(B(v, 2k+1)) per (k, first vertex of each class), summed directly."""
+def _direct_slacks(g, mu, t):
+    """t mu(B(v, k)) - mu(B(v, 2k+1)) per (k, vertex), summed directly."""
     dt = distances(g)
-    reps = [classes.index(c) for c in range(max(classes) + 1)]
 
     def ball(v, r):
         return sum(Fraction(mu[w]) for w in range(g.n) if dt.dist[v][w] <= r)
 
     k_max = dt.diam // 2
-    return tuple(t * ball(v, k) - ball(v, 2 * k + 1) for k in range(k_max + 1) for v in reps)
+    return tuple(t * ball(v, k) - ball(v, 2 * k + 1) for k in range(k_max + 1) for v in range(g.n))
 
 
 def test_certificate_slacks_are_the_direct_row_sums():
     graphs = [generate(FamilySpec(name)) for name in ("e6", "e7", "three_legs", "doyle")]
     graphs += [generate(FamilySpec("d_n", n=7)), generate(FamilySpec("cycle", n=9))]
+    graphs += [generate(FamilySpec("wheel", n=7))]  # diameter 2: the Perron minimizer
     rand = random.Random(77)
     graphs += [random_connected_graph(rand, rand.randint(4, 9)) for _ in range(4)]
     for g in graphs:
         res = least_doubling(g, certificate=True)
         cert = res.certificate
         assert cert is not None
-        assert cert.slacks == _direct_slacks(g, list(res.classes), cert.measure, cert.t)
+        assert cert.slacks == _direct_slacks(g, cert.measure, cert.t)
+
+
+def test_certificate_is_the_minimizer_without_the_exact_simplex(monkeypatch):
+    import dublo.exactlp  # noqa: F401  (loaded, so its own binding is patched too)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact simplex reached from least_doubling")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dublo"]:
+        if hasattr(module, "feasible_min_one"):
+            monkeypatch.setattr(module, "feasible_min_one", refuse)
+    monkeypatch.setattr(FeasibilityProblem, "check_exact", refuse)
+    graphs = [generate(FamilySpec(name)) for name in ("e6", "e7", "three_legs")]
+    graphs += [generate(FamilySpec("d_n", n=7)), generate(FamilySpec("wheel", n=7))]
+    graphs += [random_tree(random.Random(79), 11)]
+    for g in graphs:
+        res = least_doubling(g, certificate=True)
+        cert = res.certificate
+        assert cert is not None
+        assert list(cert.measure.weights) == list(res.minimizer.weights)
+        assert cert.t == cert.c_mu_exact
+        assert min(cert.slacks) == 0
+        assert cert.t >= res.bracket[0] - 1e-12
+        assert cert.t <= res.c_g * (1 + 1e-10)
+
+
+def test_certificate_path_60_is_fast():
+    g = generate(FamilySpec("path", n=60))
+    start = time.perf_counter()
+    res = least_doubling(g, certificate=True)
+    assert time.perf_counter() - start < 5.0
+    cert = res.certificate
+    assert cert is not None and "certificate_fallback" not in res.method_notes
+    assert len(cert.slacks) == 60 * 30 and min(cert.slacks) >= 0
+    assert cert.t <= res.c_g * (1 + 1e-10)
 
 
 def test_max_ratio_is_the_report_constant():
