@@ -496,7 +496,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_truncate(args: argparse.Namespace) -> int:
     config = build_config(args)
     depths = _parse_depths(args.depths)
-    records = families.truncation_study(args.family, depths, eig_tol=config.tolerance_eig)
+    records = families.truncation_study(
+        args.family, depths, cap=config.size_cap, eig_tol=config.tolerance_eig
+    )
     payload = {"schema": SCHEMA, "family": args.family, "records": records}
     lines = [
         f"depth={r['depth']} n={r['n']} c0={r['c0']:.9f}"

@@ -160,7 +160,8 @@ def _max_ratios(masses: np.ndarray) -> list[tuple[Weight, int]]:
     """Per k, the largest mass(2k+1) / mass(k) over the rows of ``_ball_masses``, and its row.
 
     Ties go to the smallest row.  Float masses give floats; integer masses
-    give exact Fractions, the float ratios only picking the candidates.
+    give exact Fractions, the float ratios only picking the candidates, which
+    are compared by cross-multiplying Python ints.
     """
     den, num = np.split(masses, 2, axis=1)
     ratios = (num / den).astype(np.float64)
@@ -168,9 +169,12 @@ def _max_ratios(masses: np.ndarray) -> list[tuple[Weight, int]]:
         return list(zip(ratios.max(axis=0).tolist(), ratios.argmax(axis=0).tolist()))
     best = []
     for k, top in enumerate(ratios.max(axis=0)):
-        near = np.flatnonzero(ratios[:, k] >= top * (1 - 1e-9)).tolist()
-        exact = [Fraction(int(num[i, k]), int(den[i, k])) for i in near]
-        best.append(max(zip(exact, near), key=lambda pair: pair[0]))  # first, so smallest row
+        near = np.flatnonzero(ratios[:, k] >= top * (1 - 1e-9))
+        p, q, row = 0, 1, 0
+        for i, a, b in zip(near.tolist(), num[near, k].tolist(), den[near, k].tolist()):
+            if a * q > p * b:  # strictly larger, so ties keep the smallest row
+                p, q, row = a, b, i
+        best.append((Fraction(p, q), row))
     return best
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .doubling import Measure, counting_measure, doubling_report
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
 from .graphs import Graph, distances, structural_facts
 from .spectral import perron
 from .symmetry import is_vertex_transitive
@@ -386,6 +386,9 @@ def grid_ray_truncation(depth: int, cap: int | None = None) -> tuple[Graph, int]
     k <= depth untouched by the boundary.
     """
     radius = 3 * depth + 1
+    n = 2 * radius * (radius + 1) + 1 + radius  # the lattice ball |x| + |y| <= radius, the ray
+    if cap is not None and n > cap:  # checked before the build, which is quadratic in depth
+        raise SizeCapError(f"graph has {n} vertices, cap is {cap}")
     index: dict[tuple[int, int, int], int] = {}
     labels: list[str] = []
     for x in range(-radius, radius + 1):
@@ -405,10 +408,7 @@ def grid_ray_truncation(depth: int, cap: int | None = None) -> tuple[Graph, int]
                     edges.append((i, j))
         else:
             edges.append((i, index[(0, 0, z - 1)]))
-    g = Graph.from_edges(
-        len(labels), edges, labels=tuple(labels),
-        cap=cap if cap is not None else max(len(labels), 1),
-    )
+    g = Graph.from_edges(n, edges, labels=tuple(labels), cap=n)
     return g, index[(0, 0, depth)]
 
 

@@ -4,9 +4,16 @@ For a candidate t, a doubling measure with constant <= t exists iff the
 homogeneous system mu(B(v, 2k+1)) <= t * mu(B(v, k)) (all centers v, all radius
 indices k) admits a strictly positive solution; scaling makes that equivalent
 to a solution with mu >= 1.  The sublevel sets are convex cones, so bisection
-between the spectral lower bound 1 + r(A_G) and any cheap feasible constant
-converges to C_G.  The LP keeps one variable and one row per class of a
-distance colour refinement, which is exact (see ``_distance_classes``).
+between the spectral lower bound C0 = 1 + r(A_G) and any cheap feasible
+constant converges to C_G.  The LP keeps one variable and one row per class
+of a distance colour refinement, which is exact (see ``_distance_classes``).
+
+The bracket starts from the two measures every run evaluates, and the LP only
+narrows it.  A measure with constant C0 satisfies A mu <= r mu, which by
+Perron-Frobenius subinvariance only the Perron vector does, so C_G = C0
+exactly when the Perron measure attains C0 (always at diameter <= 2).  With a
+single class the counting measure is the only class-constant measure, so its
+constant is C_G.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .doubling import (
     DoublingReport,
@@ -89,6 +95,7 @@ class FeasibilityProblem:
         feasible side of a bisection always holds a genuine witness, whatever
         the LP's internal tolerances did.  Raises SolverError on breakdown.
         """
+        from scipy.optimize import linprog  # loaded only by runs that bisect
         nv = self.n_vars
         den, num = self._row_counts()
         a = num - t * den
@@ -203,52 +210,47 @@ def least_doubling(
     tol: float = DEFAULT_BISECT_TOL,
     *,
     certificate: bool = False,
-    force_bisection: bool = False,
     orbit_reduction: bool = True,
     eig_tol: float = DEFAULT_EIG_TOL,
     dt: DistanceTable | None = None,
 ) -> OptimizationResult:
     """Compute C_G with a bracketing interval of width <= tol.
 
-    Shortcuts: diameter <= 2 forces C_G = 1 + r(A_G); with a single reduction
-    class the counting measure is a minimizer, cross-checked against the
-    bracket and reported as the exact ``c_g_exact``.  ``certificate=True``
-    certifies the reported minimizer: its float weights are exact dyadic
-    rationals, so its exact C_mu, an upper bound on C_G, and every row slack
-    are read from the integer ball-mass table, with no second solve.
+    The bracket runs from C0, or from the exact counting constant
+    ``c_g_exact`` when the reduction leaves a single class, up to the better
+    of the Perron and counting measures' constants, ties going to Perron.
+    The LP bisection only narrows it (see the module docstring for when it
+    is closed from the start).  ``certificate=True`` certifies the reported
+    minimizer: its float weights are exact dyadic rationals, so its exact
+    C_mu and every row slack are read from the integer ball-mass table.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be > 0")
     dt = dt or distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
     class_count = max(classes) + 1
-    shortcut = dt.diam <= 2 and not force_bisection
     c0, mu0, report0 = _perron_pass(g, dt, eig_tol)
-    c_counting = None  # an exact Fraction, needed by the bisection and the single-class check
-    if class_count == 1 or not shortcut:
-        c_counting = doubling_report(g, dt, counting_measure(g)).c_mu
+    counting = doubling_report(g, dt, counting_measure(g))
+    c_g_exact = counting.c_mu if class_count == 1 else None
     notes: dict = {
         "diam": dt.diam,
         "k_max": max_radius_index(dt.diam),
-        "diam2_shortcut": shortcut,
+        "diam2_shortcut": dt.diam <= 2,
         "vertex_transitive": class_count == 1,
         "orbit_reduction": class_count < g.n,
         "orbit_count": class_count,
-        "counting_cross_check": float(c_counting) if class_count == 1 else None,
+        "counting_cross_check": None if c_g_exact is None else float(c_g_exact),
         "lp_solves": 0,
     }
 
-    if shortcut:
-        t_lo, t_hi, best_mu, minimizer_report = c0, c0, mu0, report0
+    if float(counting.c_mu) < float(report0.c_mu):
+        best_mu, minimizer_report = counting_measure(g), counting
     else:
+        best_mu, minimizer_report = mu0, report0
+    t_lo = c0 if c_g_exact is None else float(c_g_exact)
+    t_hi = max(float(minimizer_report.c_mu), t_lo)
+    if t_hi - t_lo > tol:
         problem = FeasibilityProblem(g, dt, classes)
-        t_lo = c0
-        t_hi = max(min(float(report0.c_mu), float(c_counting)), t_lo)
-        best_mu = counting_measure(g) if float(c_counting) <= float(report0.c_mu) else mu0
-        start = problem.check(t_lo + min(tol, 1e-12))
-        notes["lp_solves"] += 1
-        if start is not None:
-            t_hi, best_mu = t_lo, start
         while t_hi - t_lo > tol:
             if notes["lp_solves"] >= BISECT_ITERATION_CAP:
                 raise SolverError(f"bisection exceeded {BISECT_ITERATION_CAP} LP solves")
@@ -266,15 +268,6 @@ def least_doubling(
                 "re-verification failed: minimizer constant "
                 f"{float(minimizer_report.c_mu)} exceeds bracket {t_hi}"
             )
-
-    c_g_exact = None
-    if class_count == 1:
-        if abs(float(c_counting) - t_hi) > max(10 * tol, 1e-8):
-            raise SolverError(
-                "single-class cross-check failed: counting constant "
-                f"{float(c_counting)} vs bracket {t_hi}"
-            )
-        c_g_exact = Fraction(c_counting)
 
     cert = None
     if certificate:

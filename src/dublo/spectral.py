@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .doubling import Measure
 from .errors import SizeCapError, SolverError, ValidationError
@@ -36,6 +35,7 @@ def _operator(g: Graph):
     if g.n <= _DENSE_LIMIT:
         a = g.adjacency_matrix()
         return lambda x: a @ x
+    from scipy.sparse import csr_array  # loaded only for large graphs
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     indices = []
     for v, nbrs in enumerate(g.adj):

@@ -169,6 +169,24 @@ def test_truncate_grid_ray(capsys):
     assert payload["records"][0]["counting_ratio"] == "32/5"
 
 
+def test_truncate_honours_the_size_cap(capsys, monkeypatch):
+    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
+    for argv in (
+        ["--family", "grid_ray", "--depths", "8"],  # 1326 vertices over the default 512
+        ["--family", "path_N", "--depths", "200", "--size-cap", "100"],
+    ):
+        code, out, err = run_cli(capsys, "truncate", *argv)
+        assert code == EXIT_VALIDATION and out == "", argv
+        assert "cap is" in err, argv
+    code, _, _ = run_cli(capsys, "compute", "--family", "path", "--n", "200", "--size-cap", "100")
+    assert code == EXIT_VALIDATION
+    code, out, _ = run_cli(
+        capsys, "truncate", "--family", "grid_ray", "--depths", "8", "--size-cap", "2000"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["records"][0]["n"] == 1326
+
+
 def test_verify_only_three_legs(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "three_legs")
     assert code == EXIT_OK

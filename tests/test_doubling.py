@@ -310,6 +310,13 @@ def test_exact_report_matches_reference_loop():
             assert [tuple(p) for p in report.per_k] == expected, kind
             assert all(isinstance(p.value, Fraction) for p in report.per_k)
             assert report.c_mu == max(value for _, value, _ in expected)
+    # every row ties under a single-class counting measure: the first row wins
+    for spec in (FamilySpec("cycle", n=40), FamilySpec("hoffman_singleton")):
+        g = generate(spec)
+        dt = distances(g)
+        report = doubling_report(g, dt, counting_measure(g))
+        assert [tuple(p) for p in report.per_k] == reference_per_k(g, dt, counting_measure(g))
+        assert all(p.witness == 0 for p in report.per_k), spec
 
 
 def test_float_report_matches_ball_matrix_products():

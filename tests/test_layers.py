@@ -7,6 +7,9 @@ one, and the import graph has no cycle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dublo
@@ -81,6 +84,57 @@ def test_import_graph_is_acyclic():
 def test_families_does_not_import_the_optimizer():
     # families needs no LP: importing it must not pull in scipy.optimize
     assert "optimizer" not in import_graph()["families"]
+
+
+def eager_scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy outside every function body."""
+    lines = []
+
+    def visit(node: ast.AST, deferred: bool) -> None:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if not deferred and any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+        deferred = deferred or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, deferred)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # scipy.optimize and scipy.sparse cost most of the import time; load them on use
+    eager = {path.stem: eager_scipy_imports(path.read_text()) for path in SRC.glob("*.py")}
+    assert {module: lines for module, lines in eager.items() if lines} == {}
+
+
+def test_eager_scipy_finder_sees_every_form():
+    source = (
+        "import scipy\nfrom scipy.optimize import linprog\nimport numpy, scipy.sparse\n"
+        "class A:\n    from scipy import sparse\n    def f(self):\n        import scipy\n"
+        "def g():\n    from scipy.sparse import csr_array\n"
+    )
+    assert eager_scipy_imports(source) == [1, 2, 3, 5]
+
+
+def test_compute_without_lp_leaves_scipy_optimize_unloaded():
+    script = (
+        "import sys\nfrom dublo.cli import main\n"
+        "code = main(['compute', '--family', 'petersen'])\n"
+        "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stderr.split() == ["0", "False"]
 
 
 def exactlp_sites(source: str) -> set[str]:

@@ -24,6 +24,7 @@ from dublo import (
     generate,
     is_vertex_transitive,
     least_doubling,
+    perron_measure,
     poly_largest_root,
 )
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec
@@ -172,6 +173,8 @@ def test_sandwich_invariant():
         assert res.c_g >= res.lower_bound_spectral - 1e-9
         assert float(res.minimizer_report.c_mu) <= res.bracket[1] + 1e-9
         assert min(res.minimizer.weights) > 0
+        if res.method_notes["diam"] <= 2 or res.method_notes["orbit_count"] == 1:
+            assert res.method_notes["lp_solves"] == 0
 
 
 def test_minimizer_sum_stays_optimal():
@@ -185,7 +188,8 @@ def test_minimizer_sum_stays_optimal():
     assert float(doubling_report(g, dt, combined).c_mu) <= c_g + 1e-8
 
 
-def test_diam2_shortcut_agrees_with_forced_bisection():
+def test_diam2_perron_measure_closes_the_bracket():
+    # no LP runs, and the LP agrees that the reported constant is C_G
     for spec in (
         FamilySpec("wheel", n=7),
         FamilySpec("friendship", n=3),
@@ -194,11 +198,38 @@ def test_diam2_shortcut_agrees_with_forced_bisection():
         FamilySpec("petersen"),
     ):
         g = generate(spec)
-        short = least_doubling(g)
-        forced = least_doubling(g, force_bisection=True)
-        assert short.method_notes["diam2_shortcut"]
-        assert not forced.method_notes["diam2_shortcut"]
-        assert abs(short.c_g - forced.c_g) <= 1e-8, spec
+        res = least_doubling(g)
+        assert res.method_notes["diam2_shortcut"], spec
+        assert res.method_notes["lp_solves"] == 0, spec
+        problem = FeasibilityProblem(g)
+        assert problem.check(res.c_g + 1e-8) is not None, spec
+        assert problem.check(res.c_g - 1e-6) is None, spec
+
+
+def test_single_class_bracket_is_the_counting_constant():
+    # the counting measure is the only class-constant measure, so no LP runs
+    for g in (generate(FamilySpec("doyle")), G10, generate(FamilySpec("cycle", n=31))):
+        res = least_doubling(g)
+        c = float(res.c_g_exact)
+        assert res.method_notes["lp_solves"] == 0
+        assert res.bracket == (c, c) and res.c_g == c
+    # Doyle's counting constant 27/5 is above C0 = 5, so the unreduced LP bisects
+    doyle = generate(FamilySpec("doyle"))
+    unreduced = least_doubling(doyle, orbit_reduction=False)
+    assert unreduced.method_notes["lp_solves"] > 0
+    assert abs(unreduced.c_g - least_doubling(doyle).c_g) <= 1e-8
+
+
+def test_perron_measure_attaining_c0_closes_the_bracket():
+    for n in (4, 6, 8):
+        g = generate(FamilySpec("path", n=n))
+        res = least_doubling(g)
+        assert res.method_notes["diam"] >= 3
+        assert res.method_notes["lp_solves"] == 0, n
+        assert res.minimizer == perron_measure(g), n
+        assert res.bracket[1] - res.bracket[0] <= 1e-9, n
+    for spec in (FamilySpec("path", n=9), FamilySpec("d_n", n=6)):
+        assert least_doubling(generate(spec)).method_notes["lp_solves"] > 0, spec
 
 
 def test_certificate_e6_e7_below_3():
