@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import SolverError
 from .families import smith_c0_table  # noqa: F401 - re-exported; defined in families
 from .graphs import Graph, structural_facts
-from .optimizer import OptimizationResult, least_doubling
+from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 
 _D_STRICT_MARGIN = 1e-7
 
@@ -76,7 +76,7 @@ def _is_d_hat(g: Graph) -> bool:
 
 
 def classify_leq3(
-    g: Graph, tol: float = 1e-9, cross_check: bool = False
+    g: Graph, tol: float = DEFAULT_BISECT_TOL, cross_check: bool = False
 ) -> ClassificationVerdict:
     """Place C_G relative to 3 and name the catalog family when C_G <= 3."""
     facts = structural_facts(g)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from . import classifier, families, optimizer, spectral
 from .doubling import counting_measure, doubling_report, load_measure_text
 from .errors import ParseError, SizeCapError, SolverError, ValidationError
 from .families import FamilySpec
-from .graphs import Graph, distances, parse_edge_list, parse_graph6, size_cap, write_graph6
+from .graphs import (
+    DEFAULT_SIZE_CAP, Graph, distances, parse_edge_list, parse_graph6, size_cap, write_graph6
+)
 
 SCHEMA = "dublo/1"
 
@@ -36,14 +39,21 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
 
+def _setting(default, flag: str, help: str):
+    """A RunConfig field and its flag; argparse stores the flag under the field's name."""
+    return field(default=default, metadata={"flag": flag, "help": help})
+
+
 @dataclass
 class RunConfig:
-    tolerance_bisect: float = 1e-9
-    tolerance_eig: float = 1e-12
-    certificate_mode: bool = False
-    size_cap: int = 512
-    output_format: str = "json"
-    parallelism: int = 1
+    """Run settings: each is a flag, a config-file key and a library default."""
+
+    tolerance_bisect: float = _setting(optimizer.DEFAULT_BISECT_TOL, "--tol", "bisection tolerance")
+    tolerance_eig: float = _setting(spectral.DEFAULT_EIG_TOL, "--eig-tol", "Perron tolerance")
+    certificate_mode: bool = _setting(False, "--certificate", "exact certificate of the minimizer")
+    size_cap: int = _setting(DEFAULT_SIZE_CAP, "--size-cap", "vertex cap (env DUBLO_SIZE_CAP)")
+    output_format: str = _setting("json", "--output", "output format")
+    parallelism: int = _setting(1, "--jobs", "worker processes")
 
     def __post_init__(self) -> None:
         if self.tolerance_bisect <= 0 or self.tolerance_eig <= 0:
@@ -54,6 +64,9 @@ class RunConfig:
             raise ValidationError(f"unknown output format {self.output_format!r}")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
+
+
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def _read_input(source: str, errors: str = "strict") -> str:
@@ -86,17 +99,11 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip().strip('"').strip("'")
+        if key not in _SETTINGS:
+            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = type(_SETTINGS[key].default)
         try:
-            if key in ("tolerance_bisect", "tolerance_eig"):
-                values[key] = float(val)
-            elif key in ("size_cap", "parallelism"):
-                values[key] = int(val)
-            elif key == "certificate_mode":
-                values[key] = val.lower() in ("1", "true", "yes")
-            elif key == "output_format":
-                values[key] = val
-            else:
-                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = val.lower() in ("1", "true", "yes") if kind is bool else kind(val)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed value {val!r} for {key}") from None
     return values
@@ -104,20 +111,11 @@ def _parse_config_file(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {"size_cap": size_cap()}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "tol": "tolerance_bisect",
-        "eig_tol": "tolerance_eig",
-        "certificate": "certificate_mode",
-        "size_cap": "size_cap",
-        "output": "output_format",
-        "jobs": "parallelism",
-    }
-    for flag, field in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None and val is not False:
-            values[field] = val
+    values.update(
+        (name, val) for name in _SETTINGS if (val := getattr(args, name, None)) is not None
+    )
     return RunConfig(**values)
 
 
@@ -143,19 +141,13 @@ def emit(payload: dict, config: RunConfig, text_lines: list[str] | None = None) 
 
 
 def read_graph(args: argparse.Namespace, config: RunConfig) -> Graph:
-    if getattr(args, "family", None):
-        spec = FamilySpec(
-            args.family,
-            n=getattr(args, "n", None),
-            m=getattr(args, "m", None),
-            depth=getattr(args, "depth", None),
-        )
+    if args.family:
+        spec = FamilySpec(args.family, n=args.n, m=args.m, depth=args.depth)
         return families.generate(spec, cap=config.size_cap)
-    source = getattr(args, "input", None)
-    if source is None:
+    if args.input is None:
         raise ParseError("need --input PATH|- or --family NAME")
-    text = _read_input(source)
-    if getattr(args, "format", "edgelist") == "g6":
+    text = _read_input(args.input)
+    if args.format == "g6":
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
         return parse_graph6(first, cap=config.size_cap)
     return parse_edge_list(text, cap=config.size_cap)
@@ -201,7 +193,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "min_slack": min(cert.slacks),
             "slacks": list(cert.slacks),
         }
-    if getattr(args, "measure", None):
+    if args.measure:
         mu = load_measure_text(_read_input(args.measure), g)
         rep = doubling_report(g, dt, mu)
         payload["measure_report"] = {
@@ -309,7 +301,7 @@ _CLOSED_FORM_ROWS = (
 
 
 def _verify_rows(config: RunConfig, only: str | None):
-    """Verify rows; expected values come from expected_constant and smith_c0_table."""
+    """(group, name, fn) rows, fn() -> (measured, expected, tol, passed); see families."""
     tol_c = 1e-6
 
     def run(g, **kw):
@@ -321,7 +313,8 @@ def _verify_rows(config: RunConfig, only: str | None):
         return families.generate(spec, cap=config.size_cap)
 
     def closed_form_row(spec):
-        return run(family(spec)).c_g, families.expected_constant(spec).c_g, tol_c
+        value, expected = run(family(spec)).c_g, families.expected_constant(spec).c_g
+        return value, expected, tol_c, abs(value - expected) <= tol_c
 
     rows = [
         (group, name, lambda spec=spec: closed_form_row(spec))
@@ -399,12 +392,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     matched = False
     for group, name, fn in _verify_rows(config, args.only):
         matched = True
-        result = fn()
-        if len(result) == 3:
-            measured, expected, tol = result
-            passed = abs(measured - expected) <= tol
-        else:
-            measured, expected, tol, passed = result
+        measured, expected, tol, passed = fn()
         failures += 0 if passed else 1
         rows.append(
             {
@@ -522,76 +510,78 @@ def _parse_depths(text: str) -> list[int]:
 # ---------------------------------------------------------------- main
 
 
-def _add_common(p: argparse.ArgumentParser, graph_input: bool = True) -> None:
-    p.add_argument("--tol", type=float, default=None, help="bisection tolerance")
-    p.add_argument("--eig-tol", dest="eig_tol", type=float, default=None)
-    p.add_argument("--certificate", action="store_true", default=False)
-    p.add_argument("--size-cap", dest="size_cap", type=int, default=None)
-    p.add_argument("--output", choices=("json", "csv", "text"), default=None,
-                   help="csv applies to batch; other commands emit json or text")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--config", default=None, help="flat key = value config file")
-    if graph_input:
-        p.add_argument("--input", default=None, help="graph file path or - for stdin")
-        p.add_argument("--format", choices=("edgelist", "g6"), default="edgelist")
-        p.add_argument("--family", choices=families.FAMILY_NAMES, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
+def _add_graph_input(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", default=None, help="graph file path or - for stdin")
+    p.add_argument("--format", choices=("edgelist", "g6"), default="edgelist")
+    _add_family(p, required=False)
 
 
+def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--family", choices=families.FAMILY_NAMES, required=required)
+    for flag in ("--n", "--m", "--depth"):
+        p.add_argument(flag, type=int, default=None)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dublo parser; each command takes a flag for each RunConfig field it reads."""
     parser = argparse.ArgumentParser(
         prog="dublo",
         description="Least doubling constants and spectral bounds on finite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="C_G, bracket, minimizer for one graph")
-    _add_common(p)
+    def command(command_name, help, fn, settings, outputs=("json", "text")):
+        p = sub.add_parser(command_name, help=help)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", default=None, help="flat key = value config file")
+        for name in settings:
+            meta, kind = _SETTINGS[name].metadata, type(_SETTINGS[name].default)
+            if kind is bool:
+                kw = {"action": "store_true"}
+            elif name == "output_format":
+                kw = {"choices": outputs}
+            else:
+                kw = {"type": kind, "metavar": meta["flag"][2:].upper().replace("-", "_")}
+            p.add_argument(meta["flag"], dest=name, default=None, help=meta["help"], **kw)
+        return p
+
+    bisect, eig, cap, out = "tolerance_bisect", "tolerance_eig", "size_cap", "output_format"
+
+    p = command("compute", "C_G, bracket, minimizer for one graph", cmd_compute,
+                (bisect, eig, "certificate_mode", cap, out))
+    _add_graph_input(p)
     p.add_argument("--measure", default=None, help="measure file to evaluate alongside")
-    p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("spectral", help="spectral radius and Perron vector")
-    _add_common(p)
-    p.set_defaults(fn=cmd_spectral)
+    p = command("spectral", "spectral radius and Perron vector", cmd_spectral, (eig, cap, out))
+    _add_graph_input(p)
 
-    p = sub.add_parser("classify", help="position of C_G relative to 3")
-    _add_common(p)
+    p = command("classify", "position of C_G relative to 3", cmd_classify, (bisect, cap, out))
+    _add_graph_input(p)
     p.add_argument("--cross-check", action="store_true", default=False)
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("family", help="emit a named family graph")
-    _add_common(p, graph_input=False)
-    p.add_argument("--family", choices=families.FAMILY_NAMES, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p = command("family", "emit a named family graph", cmd_family, (cap, out))
+    _add_family(p, required=True)
     p.add_argument("--emit", choices=("edgelist", "g6"), default="edgelist")
-    p.set_defaults(fn=cmd_family)
 
-    p = sub.add_parser("verify", help="reproduce the catalog of stated constants")
-    _add_common(p, graph_input=False)
+    p = command("verify", "reproduce the catalog of stated constants", cmd_verify,
+                (bisect, eig, cap, out))
     p.add_argument("--only", default=None, help="run a single verification group")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("batch", help="stream of graph6 records -> constants table")
-    _add_common(p, graph_input=False)
+    p = command("batch", "stream of graph6 records -> constants table", cmd_batch,
+                (bisect, eig, cap, out, "parallelism"), outputs=("json", "csv"))
     p.add_argument("--input", required=True, help="graph6 file path or - for stdin")
-    p.set_defaults(fn=cmd_batch)
 
-    p = sub.add_parser("truncate", help="finite-truncation series for infinite graphs")
-    _add_common(p, graph_input=False)
+    p = command("truncate", "finite-truncation series for infinite graphs", cmd_truncate,
+                (eig, cap, out))
     p.add_argument("--family", choices=families.TRUNCATION_FAMILIES, required=True)
     p.add_argument("--depths", required=True, help="comma list or lo..hi range")
-    p.set_defaults(fn=cmd_truncate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

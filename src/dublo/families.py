@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
 from .graphs import Graph, distances, structural_facts
-from .spectral import perron
+from .spectral import DEFAULT_EIG_TOL, perron
 from .symmetry import is_vertex_transitive
 
 THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
@@ -253,25 +254,25 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
     fam = spec.family
     if fam == "complete":
         n = _need_n(spec, 1)
-        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)], cap=cap)
+        g = Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)), cap=cap)
         if n >= 2 and (set(g.degrees) != {n - 1} or distances(g).diam != 1):
             _fail(spec, "complete graph structure")
         return g
     if fam == "star":
         n = _need_n(spec, 1)
-        g = Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)], cap=cap)
+        g = Graph.from_edges(n + 1, ((0, i) for i in range(1, n + 1)), cap=cap)
         if sorted(g.degrees, reverse=True) != [n] + [1] * n:
             _fail(spec, "star degrees")
         return g
     if fam == "cycle":
         n = _need_n(spec, 3)
-        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], cap=cap)
+        g = Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), cap=cap)
         if set(g.degrees) != {2} or g.m != n or distances(g).diam != n // 2:
             _fail(spec, "cycle structure")
         return g
     if fam == "path":
         n = _need_n(spec, 1)
-        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], cap=cap)
+        g = Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), cap=cap)
         if g.m != n - 1 or (n >= 2 and max(g.degrees) > 2) or distances(g).diam != n - 1:
             _fail(spec, "path structure")
         return g
@@ -280,16 +281,16 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
             raise ValidationError("complete_bipartite needs m >= 1 and n >= 1")
         m, n = spec.m, spec.n
         g = Graph.from_edges(
-            m + n, [(i, m + j) for i in range(m) for j in range(n)], cap=cap
+            m + n, ((i, m + j) for i in range(m) for j in range(n)), cap=cap
         )
         if sorted(g.degrees) != sorted([n] * m + [m] * n):
             _fail(spec, "bipartite degrees")
         return g
     if fam == "wheel":
         n = _need_n(spec, 4)
-        edges = [(0, i) for i in range(1, n)]
-        edges += [(i, i % (n - 1) + 1) for i in range(1, n)]
-        g = Graph.from_edges(n, edges, cap=cap)
+        spokes = ((0, i) for i in range(1, n))
+        rim = ((i, i % (n - 1) + 1) for i in range(1, n))
+        g = Graph.from_edges(n, chain(spokes, rim), cap=cap)
         if g.degree(0) != n - 1 or any(g.degree(v) != 3 for v in range(1, n)):
             _fail(spec, "wheel degrees")
         if distances(g).diam != (1 if n == 4 else 2):
@@ -297,10 +298,7 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         return g
     if fam == "friendship":
         n = _need_n(spec, 1)
-        edges = []
-        for i in range(n):
-            a, b = 2 * i + 1, 2 * i + 2
-            edges += [(0, a), (0, b), (a, b)]
+        edges = (e for a in range(1, 2 * n, 2) for e in ((0, a), (0, a + 1), (a, a + 1)))
         g = Graph.from_edges(2 * n + 1, edges, cap=cap)
         if g.degree(0) != 2 * n or any(g.degree(v) != 2 for v in range(1, 2 * n + 1)):
             _fail(spec, "friendship degrees")
@@ -309,12 +307,12 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         return g
     if fam == "cocktail_party":
         n = _need_n(spec, 2)
-        edges = [
+        edges = (
             (i, j)
             for i in range(2 * n)
             for j in range(i + 1, 2 * n)
             if not (i // 2 == j // 2)
-        ]
+        )
         g = Graph.from_edges(2 * n, edges, cap=cap)
         if set(g.degrees) != {2 * n - 2} or distances(g).diam != 2:
             _fail(spec, "cocktail party structure")
@@ -341,15 +339,15 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         return g
     if fam == "d_n":
         n = _need_n(spec, 4)
-        edges = [(i, i + 1) for i in range(n - 2)] + [(1, n - 1)]
+        edges = chain(((i, i + 1) for i in range(n - 2)), [(1, n - 1)])
         g = Graph.from_edges(n, edges, cap=cap)
         _check_radius(spec, g)
         return g
     if fam == "d_hat_n":
         n = _need_n(spec, 5)
         core = n - 4
-        edges = [(i, i + 1) for i in range(core - 1)]
-        edges += [(0, core), (0, core + 1), (core - 1, core + 2), (core - 1, core + 3)]
+        legs = [(0, core), (0, core + 1), (core - 1, core + 2), (core - 1, core + 3)]
+        edges = chain(((i, i + 1) for i in range(core - 1)), legs)
         g = Graph.from_edges(n, edges, cap=cap)
         _check_radius(spec, g)
         return g
@@ -495,7 +493,7 @@ def truncation_study(
     family: str,
     depths: list[int],
     cap: int | None = None,
-    eig_tol: float = 1e-12,
+    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> list[dict]:
     """Finite-truncation series standing in for an infinite graph.
 

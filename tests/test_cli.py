@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism, batch parallelism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -449,3 +450,147 @@ def test_config_malformed_number_is_parse_error(tmp_path, capsys, line):
     code, _, err = run_cli(capsys, "compute", "--family", "petersen", "--config", str(cfg))
     assert code == EXIT_PARSE
     assert "parse error" in err
+
+
+# ---------------------------------------------------------------- run settings
+
+# the RunConfig fields each command reads, and an argv that runs the command
+READS = {
+    "compute": ({"tolerance_bisect", "tolerance_eig", "certificate_mode", "size_cap",
+                 "output_format"}, ["--family", "path", "--n", "4"]),
+    "spectral": ({"tolerance_eig", "size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
+    "classify": ({"tolerance_bisect", "size_cap", "output_format"},
+                 ["--family", "path", "--n", "4"]),
+    "family": ({"size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
+    "verify": ({"tolerance_bisect", "tolerance_eig", "size_cap", "output_format"},
+               ["--only", "three_legs"]),
+    "batch": ({"tolerance_bisect", "tolerance_eig", "size_cap", "output_format", "parallelism"},
+              ["--input", "-"]),
+    "truncate": ({"tolerance_eig", "size_cap", "output_format"},
+                 ["--family", "path_N", "--depths", "2"]),
+}
+SETTING_FLAGS = {
+    "tolerance_bisect": ["--tol", "1e-8"],
+    "tolerance_eig": ["--eig-tol", "1e-11"],
+    "certificate_mode": ["--certificate"],
+    "size_cap": ["--size-cap", "100"],
+    "output_format": ["--output", "json"],
+    "parallelism": ["--jobs", "1"],
+}
+
+
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    import argparse
+
+    from dublo import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        assert run_cli(capsys, "family", "--family", "petersen")[0] == EXIT_OK
+        first = len(built)
+        assert run_cli(capsys, "spectral", "--family", "petersen")[0] == EXIT_OK
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("dublo") == 1 and len(built) == first
+
+
+def test_each_command_takes_exactly_the_flags_it_reads(capsys):
+    from dublo.cli import RunConfig, build_parser
+
+    assert set(SETTING_FLAGS) == {f.name for f in fields(RunConfig)}
+    ignored = []
+    for command, (reads, base) in READS.items():
+        for name, flag in SETTING_FLAGS.items():
+            argv = [command, *base, *flag]
+            if name in reads:
+                assert getattr(build_parser().parse_args(argv), name) is not None, argv
+                continue
+            ignored.append((command, flag[0]))
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert len(ignored) == 17
+    assert {c for c, f in ignored if f == "--tol"} == {"spectral", "family", "truncate"}
+    assert {c for c, f in ignored if f == "--eig-tol"} == {"classify", "family"}
+    assert {c for c, f in ignored if f == "--certificate"} == set(READS) - {"compute"}
+    assert {c for c, f in ignored if f == "--jobs"} == set(READS) - {"batch"}
+
+
+def test_output_formats_a_command_cannot_print_are_rejected(capsys):
+    for command, (_, base) in READS.items():
+        unprinted = "text" if command == "batch" else "csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, "--output", unprinted])
+        assert exc.value.code == 2, command
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_each_command_reads_the_settings_in_its_table(capsys, monkeypatch):
+    import io
+
+    from dublo import cli
+
+    read: set = set()
+
+    class Spy:
+        def __init__(self, config):
+            self._config = config
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self._config, name)
+
+    build = cli.build_config
+    monkeypatch.setattr(cli, "build_config", lambda args: Spy(build(args)))
+    for command, (reads, base) in READS.items():
+        read.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("CF\n"))  # K_{1,3}
+        code, _, _ = run_cli(capsys, command, *base)
+        assert code == EXIT_OK and read == reads, command
+
+
+def test_every_setting_can_be_set_from_a_config_file(tmp_path):
+    from dublo.cli import RunConfig, build_config, build_parser
+
+    values = {
+        "tolerance_bisect": ("1e-7", 1e-7),
+        "tolerance_eig": ("1e-10", 1e-10),
+        "certificate_mode": ("true", True),
+        "size_cap": ("100", 100),
+        "output_format": ('"csv"', "csv"),
+        "parallelism": ("3", 3),
+    }
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    cfg = tmp_path / "dublo.cfg"
+    cfg.write_text("".join(f"{name} = {text}\n" for name, (text, _) in values.items()))
+    # spectral takes no --tol, --certificate or --jobs, but reads every config key
+    config = build_config(build_parser().parse_args(["spectral", "--config", str(cfg)]))
+    for f in fields(RunConfig):
+        got = getattr(config, f.name)
+        assert got == values[f.name][1] and type(got) is type(f.default), f.name
+
+
+@pytest.mark.parametrize(
+    "family, n", [("complete", 2000), ("cocktail_party", 1000), ("path", 1_000_000)]
+)
+def test_over_cap_family_fails_before_building_its_edges(capsys, monkeypatch, family, n):
+    import tracemalloc
+
+    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "compute", "--family", family, "--n", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION and out == "" and "cap is 512" in err
+    assert peak < 10 * 2**20
