@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -56,8 +57,8 @@ class RunConfig:
     parallelism: int = _setting(1, "--jobs", "worker processes")
 
     def __post_init__(self) -> None:
-        if self.tolerance_bisect <= 0 or self.tolerance_eig <= 0:
-            raise ValidationError("tolerances must be > 0")
+        if not all(0 < tol < math.inf for tol in (self.tolerance_bisect, self.tolerance_eig)):
+            raise ValidationError("tolerances must be finite and > 0")  # NaN included
         if self.size_cap < 2:
             raise ValidationError("size cap must be >= 2")
         if self.output_format not in ("json", "csv", "text"):
@@ -116,6 +117,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values.update(
         (name, val) for name in _SETTINGS if (val := getattr(args, name, None)) is not None
     )
+    # argparse checks a flag's format; this catches one from the config file
+    if values.get("output_format", RunConfig.output_format) not in args.output_choices:
+        raise ParseError(
+            f"{args.command} cannot print {values['output_format']!r} output; "
+            f"choose from {', '.join(args.output_choices)}"
+        )
     return RunConfig(**values)
 
 
@@ -533,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(command_name, help, fn, settings, outputs=("json", "text")):
         p = sub.add_parser(command_name, help=help)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, output_choices=outputs)
         p.add_argument("--config", default=None, help="flat key = value config file")
         for name in settings:
             meta, kind = _SETTINGS[name].metadata, type(_SETTINGS[name].default)

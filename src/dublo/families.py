@@ -5,11 +5,15 @@ C_G and C0 for every family that has one, and ``smith_c0_table`` holds the
 spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number) behind the
 generators' self-checks, the expected C0 values and ``dublo verify``.
 
-Each generator re-validates its output (vertex count, regularity, diameter,
-strongly-regular parameters or spectral closed form, as appropriate) and fails
-loudly on a mismatch, so a construction bug cannot silently ship a wrong
-catalog graph.  The two sporadic graphs are embedded as verified edge lists;
-for those the validated invariants pin the isomorphism class.
+Each generator re-validates its output (degrees and edge counts, which with
+connectivity pin the simple families and their diameters, strongly-regular
+parameters or spectral closed form, as appropriate) and fails loudly on a
+mismatch, so a construction bug cannot silently ship a wrong catalog graph.
+The sporadic graphs are embedded as verified edge lists; for those the
+validated invariants pin the isomorphism class.  The Doyle graph's check is
+a stored witness: two automorphisms whose orbit closure is every vertex, so
+it is vertex-transitive and its diameter is one vertex's eccentricity.  No
+generator searches for automorphisms.
 
 Dynkin-style conventions used here: D_n is a path on n-1 vertices with an
 extra leaf on its second vertex; E_k is a path on k-1 vertices with an extra
@@ -32,7 +36,7 @@ from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
 from .graphs import Graph, distances, structural_facts
 from .spectral import DEFAULT_EIG_TOL, perron
-from .symmetry import is_vertex_transitive
+from .symmetry import orbit
 
 THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
 E8_RATIO_POLY = (1.0, -6.0, 11.0, -4.0, -10.0, 14.0, -8.0, 2.0, 0.0)
@@ -123,6 +127,14 @@ _DOYLE_EDGES = (
     (12, 20), (12, 25), (12, 26), (13, 18), (13, 24), (13, 26), (14, 19), (14, 24),
     (14, 25), (15, 19), (16, 20), (17, 18), (18, 23), (18, 25), (19, 21), (19, 26),
     (20, 22), (20, 24),
+)
+
+# two automorphisms of the Doyle graph whose orbit closure from 0 is every vertex
+_DOYLE_WITNESS = (
+    (3, 22, 14, 6, 25, 17, 9, 1, 20, 12, 4, 23, 15, 7, 26, 18, 10, 2, 21, 13, 5, 24, 16, 8, 0,
+     19, 11),
+    (4, 23, 12, 7, 26, 15, 10, 2, 18, 13, 5, 21, 16, 8, 24, 19, 11, 0, 22, 14, 3, 25, 17, 6, 1,
+     20, 9),
 )
 
 _HOFFMAN_SINGLETON_EDGES = (
@@ -249,13 +261,21 @@ def _check_srg(spec: FamilySpec, g: Graph, n: int, k: int, lam: int, mu: int) ->
                 _fail(spec, f"common-neighbor count {common} at ({u},{v}), want {want}")
 
 
+def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
+    """perm is a bijection mapping every neighbour list onto a neighbour list."""
+    return sorted(perm) == list(range(g.n)) and all(
+        tuple(sorted(perm[w] for w in g.adj[v])) == g.adj[perm[v]] for v in range(g.n)
+    )
+
+
 def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
     """Build the family member and run its structural self-check."""
     fam = spec.family
     if fam == "complete":
         n = _need_n(spec, 1)
         g = Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)), cap=cap)
-        if n >= 2 and (set(g.degrees) != {n - 1} or distances(g).diam != 1):
+        # every vertex adjacent to all others is K_n
+        if n >= 2 and set(g.degrees) != {n - 1}:
             _fail(spec, "complete graph structure")
         return g
     if fam == "star":
@@ -267,13 +287,15 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
     if fam == "cycle":
         n = _need_n(spec, 3)
         g = Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), cap=cap)
-        if set(g.degrees) != {2} or g.m != n or distances(g).diam != n // 2:
+        # a connected 2-regular graph is C_n
+        if set(g.degrees) != {2} or g.m != n:
             _fail(spec, "cycle structure")
         return g
     if fam == "path":
         n = _need_n(spec, 1)
         g = Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), cap=cap)
-        if g.m != n - 1 or (n >= 2 and max(g.degrees) > 2) or distances(g).diam != n - 1:
+        # a connected tree (m = n - 1) of maximum degree <= 2 is P_n
+        if g.m != n - 1 or (n >= 2 and max(g.degrees) > 2):
             _fail(spec, "path structure")
         return g
     if fam == "complete_bipartite":
@@ -291,19 +313,17 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         spokes = ((0, i) for i in range(1, n))
         rim = ((i, i % (n - 1) + 1) for i in range(1, n))
         g = Graph.from_edges(n, chain(spokes, rim), cap=cap)
+        # the hub reaches every vertex, so the diameter is 2 unless all degrees are n - 1
         if g.degree(0) != n - 1 or any(g.degree(v) != 3 for v in range(1, n)):
             _fail(spec, "wheel degrees")
-        if distances(g).diam != (1 if n == 4 else 2):
-            _fail(spec, "wheel diameter")
         return g
     if fam == "friendship":
         n = _need_n(spec, 1)
         edges = (e for a in range(1, 2 * n, 2) for e in ((0, a), (0, a + 1), (a, a + 1)))
         g = Graph.from_edges(2 * n + 1, edges, cap=cap)
+        # the hub reaches every vertex, so the diameter is 2 unless all degrees are 2n
         if g.degree(0) != 2 * n or any(g.degree(v) != 2 for v in range(1, 2 * n + 1)):
             _fail(spec, "friendship degrees")
-        if distances(g).diam != (1 if n == 1 else 2):
-            _fail(spec, "friendship diameter")
         return g
     if fam == "cocktail_party":
         n = _need_n(spec, 2)
@@ -314,7 +334,8 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
             if not (i // 2 == j // 2)
         )
         g = Graph.from_edges(2 * n, edges, cap=cap)
-        if set(g.degrees) != {2 * n - 2} or distances(g).diam != 2:
+        # (2n-2)-regular on 2n vertices: two non-adjacent vertices share the other 2n-2 >= 2
+        if set(g.degrees) != {2 * n - 2}:
             _fail(spec, "cocktail party structure")
         return g
     if fam == "petersen":
@@ -363,10 +384,15 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         return g
     if fam == "doyle":
         g = Graph.from_edges(27, _DOYLE_EDGES, cap=cap)
-        if set(g.degrees) != {4} or distances(g).diam != 3:
-            _fail(spec, "doyle degree/diameter")
-        if not is_vertex_transitive(g):
+        if set(g.degrees) != {4}:
+            _fail(spec, "doyle degrees")
+        if not all(_is_automorphism(g, perm) for perm in _DOYLE_WITNESS):
+            _fail(spec, "doyle witness is not an automorphism")
+        if len(orbit(0, _DOYLE_WITNESS)) != g.n:
             _fail(spec, "doyle vertex transitivity")
+        # on a vertex-transitive graph every eccentricity is the diameter
+        if max(_single_source(g, 0)) != 3:
+            _fail(spec, "doyle diameter")
         return g
     if fam == "grid_ray_truncation":
         if spec.depth is None or spec.depth < 1:

@@ -308,19 +308,15 @@ class StructuralFacts:
     is_regular: bool
     has_cycle: bool
     count_deg_ge3: int
-    diam: int
 
 
-def structural_facts(g: Graph, dt: DistanceTable | None = None) -> StructuralFacts:
+def structural_facts(g: Graph) -> StructuralFacts:
     """Cheap structural predicates used by the classifier and reports."""
     degs = g.degrees
-    if dt is None:
-        dt = distances(g)
     return StructuralFacts(
         degrees=degs,
         max_degree=max(degs),
         is_regular=len(set(degs)) == 1,
         has_cycle=g.m >= g.n,  # connected graph is a tree iff m = n - 1
         count_deg_ge3=sum(1 for d in degs if d >= 3),
-        diam=dt.diam,
     )

@@ -224,8 +224,8 @@ def least_doubling(
     minimizer: its float weights are exact dyadic rationals, so its exact
     C_mu and every row slack are read from the integer ball-mass table.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be > 0")
+    if not 0 < tol < math.inf:  # NaN fails this too
+        raise ValidationError("tolerance must be finite and > 0")
     dt = dt or distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
     class_count = max(classes) + 1

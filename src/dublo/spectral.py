@@ -58,8 +58,8 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
     reported residual is the eigen-residual of the max-normalized vector and
     never exceeds the bracket width.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be > 0")
+    if not 0 < tol < np.inf:  # NaN fails this too
+        raise ValidationError("tolerance must be finite and > 0")
     if g.n == 1:
         return SpectralResult(0.0, np.ones(1), 0.0, 0)
     matvec = _operator(g)

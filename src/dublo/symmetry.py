@@ -2,15 +2,21 @@
 
 The search is a distance-profile-refined backtracking: a vertex may only map
 to vertices with the same sorted distance row, and every partial assignment
-must preserve pairwise distances.  The full group is materialized only for
-modest orders; orbit partitions and group orders use find-first searches and
-a stabilizer chain instead, which handles e.g. the Hoffman-Singleton graph
-(order 252000) without listing every element.
+must preserve pairwise distances.  The full group is listed only for modest
+orders.  Everything else comes from one stabilizer chain (Sims): at each chain
+vertex the search looks for one automorphism per image outside the orbit
+closure of those already found there.  The level orbits multiply to the group
+order, the closure of every automorphism found gives the orbits of Aut(G),
+and the first level decides vertex transitivity.  This handles e.g. the
+Hoffman-Singleton graph (order 252000) without listing the group.  Nothing on
+the compute path calls this module; it is the independent reference for
+Aut(G) behind the brute-force oracle and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .doubling import Measure
 from .errors import SizeCapError, ValidationError
@@ -19,12 +25,15 @@ from .graphs import DistanceTable, Graph, distances
 AUT_VERTEX_CAP = 256
 DEFAULT_GROUP_LIMIT = 100_000
 
+Perm = tuple[int, ...]
+
 
 class _AutSearch:
     """Backtracking over distance-preserving vertex bijections."""
 
     def __init__(self, g: Graph, dt: DistanceTable | None = None):
-        self.g = g
+        if g.n > AUT_VERTEX_CAP:
+            raise SizeCapError(f"automorphism search capped at {AUT_VERTEX_CAP} vertices")
         self.n = g.n
         self.dist = (dt or distances(g)).dist
         profiles = [tuple(sorted(self.dist[v].tolist())) for v in range(self.n)]
@@ -54,72 +63,81 @@ class _AutSearch:
         dv, dw = self.dist[v], self.dist[w]
         return all(dv[u] == dw[x] for u, x in mapping.items())
 
-    def search(self, prefix: dict[int, int], on_complete) -> None:
-        """Backtrack over automorphisms extending prefix.
+    def extensions(self, prefix: dict[int, int]) -> Iterator[Perm]:
+        """Every automorphism extending the prefix map, in search order.
 
-        ``on_complete(perm)`` is called per completed permutation; returning
-        True stops the search.
+        The prefix's own pairs are not checked against each other; callers
+        pass an injective one that preserves distances.
         """
         todo = [v for v in self.order if v not in prefix]
         mapping = dict(prefix)
         used = set(mapping.values())
-        if len(used) != len(mapping):
-            raise ValidationError("prefix is not injective")
 
-        def backtrack(i: int) -> bool:
+        def backtrack(i: int) -> Iterator[Perm]:
             if i == len(todo):
-                return on_complete(tuple(mapping[v] for v in range(self.n)))
+                yield tuple(mapping[v] for v in range(self.n))
+                return
             v = todo[i]
             for w in self.classes[self.profile[v]]:
                 if w in used or not self._consistent(v, w, mapping):
                     continue
                 mapping[v] = w
                 used.add(w)
-                if backtrack(i + 1):
-                    return True
+                yield from backtrack(i + 1)
                 del mapping[v]
                 used.discard(w)
-            return False
 
-        backtrack(0)
-
-    def find_extension(self, prefix: dict[int, int]) -> tuple[int, ...] | None:
-        """First automorphism extending the prefix map, or None."""
-        found: list[tuple[int, ...]] = []
-
-        def stop_first(perm: tuple[int, ...]) -> bool:
-            found.append(perm)
-            return True
-
-        self.search(prefix, stop_first)
-        return found[0] if found else None
+        return backtrack(0)
 
 
-def _check_size(g: Graph) -> None:
-    if g.n > AUT_VERTEX_CAP:
-        raise SizeCapError(f"automorphism search capped at {AUT_VERTEX_CAP} vertices")
-
-
-def automorphisms(g: Graph, limit: int = DEFAULT_GROUP_LIMIT) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph, limit: int = DEFAULT_GROUP_LIMIT) -> list[Perm]:
     """The complete automorphism group as explicit permutation tuples.
 
     Deterministic order; the identity is always present.  Raises SizeCapError
     when the group would exceed ``limit`` elements (use orbit_partition for
     such graphs, it never materializes the group).
     """
-    _check_size(g)
-    search = _AutSearch(g)
-    perms: list[tuple[int, ...]] = []
-
-    def gather(perm: tuple[int, ...]) -> bool:
+    perms: list[Perm] = []
+    for perm in _AutSearch(g).extensions({}):
         perms.append(perm)
         if len(perms) > limit:
             raise SizeCapError(f"automorphism group exceeds listing limit {limit}")
-        return False
-
-    search.search({}, gather)
     perms.sort()
     return perms
+
+
+def orbit(v: int, perms: Sequence[Perm]) -> set[int]:
+    """The closure of {v} under the given permutations."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        u = frontier.pop()
+        for perm in perms:
+            if perm[u] not in seen:
+                seen.add(perm[u])
+                frontier.append(perm[u])
+    return seen
+
+
+def _stabilizer_chain(g: Graph) -> Iterator[tuple[set[int], list[Perm]]]:
+    """(orbit, automorphisms found) at each vertex of a stabilizer chain.
+
+    Level i is the pointwise stabilizer of the first i search-order vertices;
+    its automorphisms, with those of the later levels, generate it.
+    """
+    search = _AutSearch(g)
+    fixed: dict[int, int] = {}
+    for v in search.order:
+        found: list[Perm] = []
+        closure = {v}
+        for w in search.classes[search.profile[v]]:
+            if w in closure or w in fixed or not search._consistent(v, w, fixed):
+                continue
+            perm = next(search.extensions({**fixed, v: w}), None)
+            if perm is not None:
+                found.append(perm)
+                closure = orbit(v, found)
+        yield closure, found
+        fixed[v] = v
 
 
 @dataclass(frozen=True)
@@ -129,83 +147,32 @@ class OrbitPartition:
     group_order: int
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _partition_from_uf(n: int, uf: _UnionFind, group_order: int) -> OrbitPartition:
-    roots: dict[int, int] = {}
-    orbit_of = []
-    members: list[list[int]] = []
-    for v in range(n):
-        r = uf.find(v)
-        if r not in roots:
-            roots[r] = len(members)
-            members.append([])
-        orbit_of.append(roots[r])
-        members[roots[r]].append(v)
-    return OrbitPartition(
-        tuple(orbit_of), tuple(tuple(m) for m in members), group_order
-    )
-
-
-def orbit_partition(g: Graph, auts: list[tuple[int, ...]] | None = None) -> OrbitPartition:
+def orbit_partition(g: Graph, auts: list[Perm] | None = None) -> OrbitPartition:
     """Vertex orbits under Aut(G) plus the exact group order.
 
-    When ``auts`` is omitted the orbits come from find-first searches and the
-    order from a stabilizer chain, so large groups need not be enumerated.
+    When ``auts`` (the whole group) is omitted, both come from one stabilizer
+    chain, so large groups need not be enumerated.  Orbits are numbered by
+    their first vertex.
     """
-    _check_size(g)
     if auts is not None:
-        uf = _UnionFind(g.n)
-        for perm in auts:
-            for v, w in enumerate(perm):
-                uf.union(v, w)
-        return _partition_from_uf(g.n, uf, len(auts))
-
-    search = _AutSearch(g)
-    uf = _UnionFind(g.n)
+        gens, order = auts, len(auts)
+    else:
+        gens, order = [], 1
+        for closure, found in _stabilizer_chain(g):
+            gens += found
+            order *= len(closure)
+    orbit_of = [-1] * g.n
+    orbits: list[tuple[int, ...]] = []
     for v in range(g.n):
-        for w in search.classes[search.profile[v]]:
-            if w <= v or uf.find(v) == uf.find(w):
-                continue
-            perm = search.find_extension({v: w})
-            if perm is not None:
-                for a, b in enumerate(perm):
-                    uf.union(a, b)
-    order = _group_order(search)
-    return _partition_from_uf(g.n, uf, order)
+        if orbit_of[v] < 0:
+            members = tuple(sorted(orbit(v, gens)))
+            for u in members:
+                orbit_of[u] = len(orbits)
+            orbits.append(members)
+    return OrbitPartition(tuple(orbit_of), tuple(orbits), order)
 
 
-def _group_order(search: _AutSearch) -> int:
-    """|Aut(G)| as the product of orbit sizes along a stabilizer chain."""
-    order = 1
-    prefix: dict[int, int] = {}
-    for v in search.order:
-        count = 0
-        for w in search.classes[search.profile[v]]:
-            if w in prefix.values() or not search._consistent(v, w, prefix):
-                continue
-            if w == v or search.find_extension({**prefix, v: w}) is not None:
-                count += 1
-        order *= count
-        prefix[v] = v
-    return order
-
-
-def symmetrize(mu: Measure, auts: list[tuple[int, ...]]) -> Measure:
+def symmetrize(mu: Measure, auts: list[Perm]) -> Measure:
     """mu_F(v) = sum over sigma in F of mu(sigma(v)); F-invariant by construction."""
     if not auts:
         raise ValidationError("need a non-empty set of automorphisms")
@@ -217,18 +184,6 @@ def symmetrize(mu: Measure, auts: list[tuple[int, ...]]) -> Measure:
 
 
 def is_vertex_transitive(g: Graph) -> bool:
-    """True iff Aut(G) has a single vertex orbit."""
-    _check_size(g)
-    search = _AutSearch(g)
-    if len(search.classes) > 1:
-        return False
-    uf = _UnionFind(g.n)
-    for w in range(1, g.n):
-        if uf.find(0) == uf.find(w):
-            continue
-        perm = search.find_extension({0: w})
-        if perm is None:
-            return False
-        for a, b in enumerate(perm):
-            uf.union(a, b)
-    return all(uf.find(v) == uf.find(0) for v in range(g.n))
+    """True iff Aut(G) has a single vertex orbit: the chain's first level."""
+    closure, _ = next(_stabilizer_chain(g))
+    return len(closure) == g.n

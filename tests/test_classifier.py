@@ -86,6 +86,18 @@ def test_classify_c9_eq3():
     assert v.verdict == "eq3" and v.family_match == "C_n"
 
 
+def test_classify_builds_no_distance_table(monkeypatch):
+    from dublo import graphs
+
+    def refuse(g):
+        raise AssertionError("distance table built by the classifier")
+
+    monkeypatch.setattr(graphs, "distances", refuse)
+    specs = [FamilySpec("path", n=40), FamilySpec("cycle", n=40), FamilySpec("e8")]
+    verdicts = [classify_leq3(generate(spec)).verdict for spec in specs]
+    assert verdicts == ["leq3_strict", "eq3", "gt3"]
+
+
 def test_classify_star4_is_smallest_d_hat():
     v = classify_leq3(generate(FamilySpec("star", n=4)))
     assert v.verdict == "eq3" and v.family_match == "D_hat_n"

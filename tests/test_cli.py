@@ -566,7 +566,7 @@ def test_every_setting_can_be_set_from_a_config_file(tmp_path):
         "tolerance_eig": ("1e-10", 1e-10),
         "certificate_mode": ("true", True),
         "size_cap": ("100", 100),
-        "output_format": ('"csv"', "csv"),
+        "output_format": ('"text"', "text"),
         "parallelism": ("3", 3),
     }
     assert set(values) == {f.name for f in fields(RunConfig)}
@@ -577,6 +577,58 @@ def test_every_setting_can_be_set_from_a_config_file(tmp_path):
     for f in fields(RunConfig):
         got = getattr(config, f.name)
         assert got == values[f.name][1] and type(got) is type(f.default), f.name
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_file_output_format_a_command_cannot_print_is_parse_error(
+    tmp_path, capsys, command
+):
+    unprinted = "text" if command == "batch" else "csv"
+    cfg = tmp_path / "dublo.cfg"
+    cfg.write_text(f"output_format = {unprinted}\n")
+    code, out, err = run_cli(capsys, command, *READS[command][1], "--config", str(cfg))
+    assert code == EXIT_PARSE and out == ""
+    assert "parse error" in err and repr(unprinted) in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--tol", "nan"], None),
+        (["--tol", "inf"], None),
+        (["--eig-tol", "nan"], None),
+        ([], "tolerance_bisect = nan"),
+    ],
+    ids=["tol-nan", "tol-inf", "eig-tol-nan", "config-tol-nan"],
+)
+def test_non_finite_tolerance_is_validation_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "dublo.cfg"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "compute", "--family", "three_legs", *argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "doyle"],
+        ["compute", "--family", "doyle", "--certificate"],
+        ["family", "--family", "doyle"],
+        ["verify", "--only", "doyle"],
+    ],
+    ids=" ".join,
+)
+def test_doyle_commands_run_no_automorphism_search(capsys, monkeypatch, argv):
+    from dublo import symmetry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphism search on the compute path")
+
+    monkeypatch.setattr(symmetry, "_AutSearch", refuse)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,45 @@ def test_doyle_structure():
     assert distances(g).diam == 3
 
 
+def test_doyle_self_check_rejects_a_witness_that_is_not_an_automorphism(monkeypatch):
+    from dublo import families
+
+    good, other = families._DOYLE_WITNESS
+    swapped = list(good)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    monkeypatch.setattr(families, "_DOYLE_WITNESS", (tuple(swapped), other))
+    with pytest.raises(ValidationError, match="not an automorphism"):
+        generate(FamilySpec("doyle"))
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        ("complete", range(1, 12)),
+        ("cycle", range(3, 14)),
+        ("path", range(1, 14)),
+        ("wheel", range(4, 14)),
+        ("friendship", range(1, 10)),
+        ("cocktail_party", range(2, 10)),
+    ],
+)
+def test_simple_families_check_without_a_distance_table(monkeypatch, family, sizes):
+    # degrees and edge counts, with connectivity, already fix these graphs' diameters
+    from dublo import families
+
+    def refuse(g):
+        raise AssertionError("distance table built by the self-check")
+
+    monkeypatch.setattr(families, "distances", refuse)
+    graphs = [generate(FamilySpec(family, n=n)) for n in sizes]
+    monkeypatch.undo()
+    for n, g in zip(sizes, graphs):
+        assert distances(g).diam == {
+            "complete": min(1, n - 1), "cycle": n // 2, "path": n - 1,
+            "wheel": 1 if n == 4 else 2, "friendship": 1 if n == 1 else 2, "cocktail_party": 2,
+        }[family]
+
+
 def test_e8_hat_structure():
     g = generate(FamilySpec("e8_hat"))
     assert g.n == 9

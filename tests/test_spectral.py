@@ -67,6 +67,17 @@ def test_perron_nonconvergence_raises():
         perron(g, tol=1e-13, max_iter=5)
 
 
+def test_perron_rejects_a_nan_tolerance_before_iterating(monkeypatch):
+    from dublo import ValidationError, spectral
+
+    def refuse(g):
+        raise AssertionError("power iteration started")
+
+    monkeypatch.setattr(spectral, "_operator", refuse)
+    with pytest.raises(ValidationError, match="finite"):
+        perron(generate(FamilySpec("path", n=30)), tol=float("nan"))
+
+
 def test_c0_cycles_equal_3():
     for n in (3, 5, 8, 12):
         assert c0_constant(generate(FamilySpec("cycle", n=n))) == pytest.approx(3.0, abs=1e-12)

@@ -24,6 +24,7 @@ from dublo import (
     symmetrize,
 )
 from dublo.families import FamilySpec
+from dublo.symmetry import DEFAULT_GROUP_LIMIT
 
 from util import G10, G18, random_connected_graph, random_int_measure
 
@@ -94,13 +95,23 @@ def test_orbits_petersen_single():
 
 def test_orbit_partition_from_explicit_group_agrees():
     rand = random.Random(21)
-    for _ in range(8):
-        g = random_connected_graph(rand, rand.randint(3, 8))
+    graphs = [(f"random_{i}", random_connected_graph(rand, rand.randint(3, 8))) for i in range(8)]
+    graphs += catalog()
+    graphs += [
+        (f"random_{i}", random_connected_graph(rand, rand.randint(9, 14), rand.choice((0, 0.3))))
+        for i in range(8, 32)
+    ]
+    too_large = []
+    for name, g in graphs:
+        b = orbit_partition(g)
+        if b.group_order > DEFAULT_GROUP_LIMIT:
+            too_large.append(name)
+            continue
         auts = automorphisms(g)
         a = orbit_partition(g, auts)
-        b = orbit_partition(g)
-        assert a.orbits == b.orbits
-        assert a.group_order == len(auts) == b.group_order
+        assert a == b, name
+        assert a.group_order == len(auts)
+    assert too_large == ["S_9", "hoffman_singleton"]
 
 
 def test_orbits_share_degree_and_distance_profile():
