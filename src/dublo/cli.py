@@ -49,7 +49,9 @@ def _setting(default, flag: str, help: str):
 class RunConfig:
     """Run settings: each is a flag, a config-file key and a library default."""
 
-    tolerance_bisect: float = _setting(optimizer.DEFAULT_BISECT_TOL, "--tol", "bisection tolerance")
+    tolerance_bisect: float = _setting(
+        optimizer.DEFAULT_BISECT_TOL, "--tol", "largest width of the C_G bracket"
+    )
     tolerance_eig: float = _setting(spectral.DEFAULT_EIG_TOL, "--eig-tol", "Perron tolerance")
     certificate_mode: bool = _setting(False, "--certificate", "exact certificate of the minimizer")
     size_cap: int = _setting(DEFAULT_SIZE_CAP, "--size-cap", "vertex cap (env DUBLO_SIZE_CAP)")

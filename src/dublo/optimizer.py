@@ -1,12 +1,11 @@
-"""Least doubling constant C_G = inf_mu C_mu by bisection over LP feasibility.
+"""Least doubling constant C_G = inf_mu max_i N_i mu / D_i mu, a generalized fractional program.
 
-For a candidate t, a doubling measure with constant <= t exists iff the
-homogeneous system mu(B(v, 2k+1)) <= t * mu(B(v, k)) (all centers v, all radius
-indices k) admits a strictly positive solution; scaling makes that equivalent
-to a solution with mu >= 1.  The sublevel sets are convex cones, so bisection
-between the spectral lower bound C0 = 1 + r(A_G) and any cheap feasible
-constant converges to C_G.  The LP keeps one variable and one row per class
-of a distance colour refinement, which is exact (see ``_distance_classes``).
+Row i is a (center, radius index k) pair with D_i mu = mu(B(v, k)) and
+N_i mu = mu(B(v, 2k+1)).  For a candidate t, a doubling measure with
+constant <= t exists iff the homogeneous system N_i mu <= t D_i mu admits a
+strictly positive solution; scaling makes that equivalent to a solution with
+mu >= 1.  The LP keeps one variable and one row per class of a distance
+colour refinement, which is exact (see ``_distance_classes``).
 
 The bracket starts from the two measures every run evaluates, and the LP only
 narrows it.  A measure with constant C0 satisfies A mu <= r mu, which by
@@ -14,6 +13,17 @@ Perron-Frobenius subinvariance only the Perron vector does, so C_G = C0
 exactly when the Perron measure attains C0 (always at diameter <= 2).  With a
 single class the counting measure is the only class-constant measure, so its
 constant is C_G.
+
+Otherwise a Dinkelbach-type iteration (Crouzeix, Ferland and Schaible, *An
+algorithm for generalized fractional programs*, JOTA 47, 1985) lowers the
+upper end: from the best measure x so far, one LP at t = t_hi - tol with every
+row N_i - t D_i divided by D_i x.  A feasible answer is a measure whose
+directly evaluated constant becomes t_hi; an infeasible one makes t the
+lower end, and the bracket is then tol wide.  The LP imposes only a growing
+subset of rows: the radius-0 rows plus those with the highest ratios at the
+start, and each answer is solved again with the inactive rows nearest to
+binding until no inactive row lies above the LP's value, so every step is
+the full LP's.  A subset without a solution proves the full system has none.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from .doubling import (
     DoublingReport,
     Measure,
     _ball_masses,
-    _max_ratios,
     counting_measure,
     doubling_report,
     exact_slacks,
@@ -41,7 +50,7 @@ from .spectral import DEFAULT_EIG_TOL, perron
 from .symmetry import orbit_partition
 
 DEFAULT_BISECT_TOL = 1e-9
-BISECT_ITERATION_CAP = 60
+LP_SOLVE_CAP = 60
 EXACT_CONSTRAINT_CAP = 2000
 LEMACHORRA_TOL = 1e-7
 _FEAS_EPS = 1e-11
@@ -70,9 +79,12 @@ class FeasibilityProblem:
         self.reps = first.tolist()
         self.var_sizes = sizes.astype(float)
         self.n_vars = len(first)
-        # |B(rep, r) ∩ class| at the doubling radii: count @ w is a class-constant mass table
-        self.count = _ball_masses(
+        # |B(rep, r) ∩ class| at radii k and 2k+1, one row per (k, representative), k-major
+        count = _ball_masses(
             self.dt.dist[self.reps], np.ones(g.n, dtype=np.int64), self.dt.diam, self._expand_map
+        )
+        self.den, self.num = (
+            c.transpose(1, 0, 2).reshape(-1, self.n_vars) for c in np.split(count, 2, axis=1)
         )
 
     @property
@@ -87,18 +99,27 @@ class FeasibilityProblem:
     def expand(self, weights: Sequence) -> tuple:
         return tuple(weights[c] for c in self._expand_map)
 
-    def check(self, t: float) -> Measure | None:
+    def check(
+        self, t: float, rows: np.ndarray | None = None, scale: np.ndarray | None = None
+    ) -> Measure | None:
         """Float LP: minimal max-violation over the weight simplex.
 
-        Returns a strictly positive measure (min weight 1) whose ratios are
-        re-verified directly against t, or None.  The direct check means the
-        feasible side of a bisection always holds a genuine witness, whatever
-        the LP's internal tolerances did.  Raises SolverError on breakdown.
+        Imposes the k-major reduced ``rows`` (every row by default).  With
+        ``scale``, reduced weights x, each row N_i - t D_i is divided by D_i x,
+        its radius-k ball mass under x.  Returns a strictly positive measure
+        (min weight 1) whose ratios on the imposed rows are re-verified
+        directly against t, or None, read as infeasible at t: scaling keeps the
+        feasible set, and rows with no common solution leave the full system
+        none.  The direct check means a feasible answer always holds a genuine
+        witness, whatever the LP's internal tolerances did.  Raises
+        SolverError on breakdown.
         """
-        from scipy.optimize import linprog  # loaded only by runs that bisect
+        from scipy.optimize import linprog  # loaded only by runs that solve an LP
         nv = self.n_vars
-        den, num = self._row_counts()
+        den, num = (self.den, self.num) if rows is None else (self.den[rows], self.num[rows])
         a = num - t * den
+        if scale is not None:
+            a /= (den @ scale)[:, None]
         m = a.shape[0]
         a_ub = np.hstack([a, -np.ones((m, 1))])
         c = np.zeros(nv + 1)
@@ -124,20 +145,24 @@ class FeasibilityProblem:
         w = res.x[:nv]
         if w.min() <= 1e-12 * max(w.max(), 1e-30):
             return None  # numerically on the cone boundary
-        if self.max_ratio(w) > t * (1 + 1e-11):
+        if ((num @ w) / (den @ w)).max() > t * (1 + 1e-11):
             return None  # LP accepted it, direct evaluation does not
         full = np.array(self.expand(w))
         full = full / full.min()
         return Measure(tuple(float(x) for x in full))
 
-    def _row_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Counts at radii k and 2k+1, one row per (k, representative), k-major."""
-        den, num = np.split(self.count, 2, axis=1)
-        return tuple(c.transpose(1, 0, 2).reshape(-1, self.n_vars) for c in (den, num))
+    def reduce(self, mu: Measure) -> np.ndarray:
+        """Reduced weights of a class-constant measure, scaled to total mass 1."""
+        x = np.array([float(mu[v]) for v in self.reps])
+        return x / (self.var_sizes @ x)
+
+    def ratios(self, weights: np.ndarray) -> np.ndarray:
+        """Doubling ratio of every k-major reduced row under reduced weights."""
+        return (self.num @ weights) / (self.den @ weights)
 
     def max_ratio(self, weights: np.ndarray) -> float:
         """Largest doubling ratio of a (reduced) weight vector, evaluated directly."""
-        return max(value for value, _ in _max_ratios(self.count @ weights))
+        return float(self.ratios(weights).max())
 
     def check_exact(self, t: Fraction) -> tuple[Measure, tuple[Fraction, ...]] | None:
         """Exact-rational feasibility at rational t; measure plus per-row slacks.
@@ -152,7 +177,7 @@ class FeasibilityProblem:
                 f"exact mode capped at {EXACT_CONSTRAINT_CAP} constraints, "
                 f"got {self.constraint_count}"
             )
-        den, num = self._row_counts()
+        den, num = self.den, self.num
         x = exactlp.feasible_min_one((num.astype(object) - t * den.astype(object)).tolist())
         if x is None:
             return None
@@ -219,8 +244,11 @@ def least_doubling(
     The bracket runs from C0, or from the exact counting constant
     ``c_g_exact`` when the reduction leaves a single class, up to the better
     of the Perron and counting measures' constants, ties going to Perron.
-    The LP bisection only narrows it (see the module docstring for when it
-    is closed from the start).  ``certificate=True`` certifies the reported
+    The CFS iteration only narrows it (see the module docstring); c_g is the
+    minimizer's own constant, and the lower end is C0 or a t at which the
+    LP is infeasible.  More than ``LP_SOLVE_CAP`` LP solves raise
+    SizeCapError, and a tol below the LP's accuracy (about 1e-11 relative)
+    ValidationError.  ``certificate=True`` certifies the reported
     minimizer: its float weights are exact dyadic rationals, so its exact
     C_mu and every row slack are read from the integer ball-mass table.
     """
@@ -251,23 +279,40 @@ def least_doubling(
     t_hi = max(float(minimizer_report.c_mu), t_lo)
     if t_hi - t_lo > tol:
         problem = FeasibilityProblem(g, dt, classes)
+        x = problem.reduce(best_mu)
+        batch = max(problem.n_vars, 8)
+        active = np.zeros(problem.reduced_rows, dtype=bool)
+        active[: problem.n_vars] = True  # radius-0 rows: every weight stays positive
+        active[np.argsort(-problem.ratios(x), kind="stable")[:batch]] = True
+        t = _below(t_hi, tol)
         while t_hi - t_lo > tol:
-            if notes["lp_solves"] >= BISECT_ITERATION_CAP:
-                raise SolverError(f"bisection exceeded {BISECT_ITERATION_CAP} LP solves")
-            mid = 0.5 * (t_lo + t_hi)
-            found = problem.check(mid)
+            if notes["lp_solves"] >= LP_SOLVE_CAP:
+                raise SizeCapError(
+                    f"least_doubling stopped at {LP_SOLVE_CAP} LP solves, "
+                    f"bracket ({t_lo!r}, {t_hi!r})"
+                )
+            found = problem.check(t, np.flatnonzero(active), x)
             notes["lp_solves"] += 1
             if found is None:
-                t_lo = mid
-            else:
-                t_hi = mid
-                best_mu = found
-        minimizer_report = doubling_report(g, dt, best_mu)
-        if float(minimizer_report.c_mu) > t_hi + 1e-9:
-            raise SolverError(
-                "re-verification failed: minimizer constant "
-                f"{float(minimizer_report.c_mu)} exceeds bracket {t_hi}"
-            )
+                t_lo = t
+                continue
+            report = doubling_report(g, dt, found)
+            if float(report.c_mu) < t_hi:
+                t_hi, best_mu, minimizer_report = float(report.c_mu), found, report
+            # found is the full LP's optimum (the CFS step) once no inactive
+            # row lies above the active maximum, and feasible at t once none
+            # lies above 0; else add the inactive rows nearest to binding
+            w = problem.reduce(found)
+            v = (problem.num @ w - t * (problem.den @ w)) / (problem.den @ x)
+            rest = np.flatnonzero(~active)
+            if rest.size and v[rest].max() > min(v[active].max(), 0.0):
+                active[rest[np.argsort(-v[rest], kind="stable")[:batch]]] = True
+                continue
+            x, t, last = problem.reduce(best_mu), _below(t_hi, tol), t
+            if t == last:  # no step below t_hi: found meets t only within check's 1e-11
+                raise ValidationError(
+                    f"tolerance {tol!r} is finer than the LP's accuracy at t = {t!r}"
+                )
 
     cert = None
     if certificate:
@@ -287,6 +332,14 @@ def least_doubling(
         certificate=cert,
         c_g_exact=c_g_exact,
     )
+
+
+def _below(t_hi: float, tol: float) -> float:
+    """t_hi - tol, raised by ulps until t_hi - t <= tol holds in floats."""
+    t = t_hi - tol
+    while t_hi - t > tol:
+        t = math.nextafter(t, t_hi)
+    return t
 
 
 def _perron_pass(

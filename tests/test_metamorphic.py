@@ -8,7 +8,7 @@ import pytest
 from dublo import FamilySpec, Graph, classify_leq3, generate, least_doubling, write_graph6
 from dublo.cli import EXIT_OK, main
 
-from util import random_connected_graph
+from util import hub_tail, random_connected_graph
 
 NAMED = (
     FamilySpec("three_legs"),
@@ -33,6 +33,7 @@ def _cases() -> list[tuple[str, Graph, Graph]]:
         (f"random_{i}", random_connected_graph(rand, rand.randint(5, 10), extra=0.2))
         for i in range(5)
     ]
+    graphs.append(("hub_tail_8", hub_tail(8)))  # CFS's path depends on its start here
     return [(name, g, _relabel(g, rand)) for name, g in graphs]
 
 

@@ -1,4 +1,4 @@
-"""Feasibility oracle, bisection, certificates, brute force, polynomial roots."""
+"""Feasibility oracle, the CFS iteration, certificates, brute force, polynomial roots."""
 
 import math
 import random
@@ -27,9 +27,10 @@ from dublo import (
     perron_measure,
     poly_largest_root,
 )
+from dublo import optimizer
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec
 
-from util import G10, connected_graphs_exactly, random_connected_graph, random_tree
+from util import G10, connected_graphs_exactly, hub_tail, random_connected_graph, random_tree
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
 
@@ -96,6 +97,18 @@ def test_monotone_feasibility_random():
             assert problem.check(t2) is not None
 
 
+def test_row_subset_answer_is_not_full_feasibility():
+    # the radius-0 rows alone only ask A mu <= (t - 1) mu, feasible from C0 = 3,
+    # while C_G = 3.0861; check answers for the rows it is given
+    g = generate(FamilySpec("three_legs"))
+    problem = FeasibilityProblem(g, distances(g))
+    radius0 = np.arange(problem.n_vars)
+    mu = problem.check(3.05, radius0)
+    assert mu is not None and len(mu) == 7
+    assert float(doubling_report(g, distances(g), mu).c_mu) > 3.05
+    assert problem.check(3.05) is None
+
+
 def test_least_doubling_k5():
     res = least_doubling(generate(FamilySpec("complete", n=5)))
     assert res.c_g == pytest.approx(5.0, abs=1e-9)
@@ -156,13 +169,15 @@ def test_three_legs_explicit_optimal_weights():
 
 
 def test_bracket_low_end_is_infeasible_or_spectral():
-    for spec in (FamilySpec("three_legs"), FamilySpec("e8"), FamilySpec("cycle", n=7)):
-        g = generate(spec)
+    # the lower end comes from LPs on row subsets; the full system agrees
+    graphs = [generate(FamilySpec(name)) for name in ("three_legs", "e8")]
+    graphs += [generate(FamilySpec("cycle", n=7)), generate(FamilySpec("path", n=40)), hub_tail(8)]
+    for i, g in enumerate(graphs):
         dt = distances(g)
         res = least_doubling(g)
         t_lo = res.bracket[0]
         if abs(t_lo - res.lower_bound_spectral) > 1e-12:
-            assert FeasibilityProblem(g, dt).check(t_lo) is None, spec
+            assert FeasibilityProblem(g, dt).check(t_lo) is None, i
 
 
 def test_sandwich_invariant():
@@ -175,6 +190,71 @@ def test_sandwich_invariant():
         assert min(res.minimizer.weights) > 0
         if res.method_notes["diam"] <= 2 or res.method_notes["orbit_count"] == 1:
             assert res.method_notes["lp_solves"] == 0
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_bracket_is_at_most_tol_wide_in_floats(tol):
+    rand = random.Random(int(-math.log10(tol)))
+    graphs = [random_connected_graph(rand, rand.randint(5, 14), extra=0.15) for _ in range(12)]
+    for g in graphs + [generate(FamilySpec("three_legs")), hub_tail(6)]:
+        dt = distances(g)
+        res = least_doubling(g, tol, dt=dt)
+        lo, hi = res.bracket
+        assert hi - lo <= tol
+        assert lo >= res.lower_bound_spectral
+        assert float(doubling_report(g, dt, res.minimizer).c_mu) <= hi == res.c_g
+
+
+def _counting_solves(monkeypatch):
+    """Record the row count of every LP that FeasibilityProblem.check solves."""
+    rows = []
+    check = FeasibilityProblem.check
+
+    def counted(self, t, subset=None, scale=None):
+        rows.append(self.reduced_rows if subset is None else len(subset))
+        return check(self, t, subset, scale)
+
+    monkeypatch.setattr(FeasibilityProblem, "check", counted)
+    return rows
+
+
+def test_cfs_needs_few_solves_on_few_rows(monkeypatch):
+    rows = _counting_solves(monkeypatch)
+    for name in ("three_legs", "e8"):
+        res = least_doubling(generate(FamilySpec(name)))
+        assert len(rows) == res.method_notes["lp_solves"] <= 8, name
+        rows.clear()
+    g = generate(FamilySpec("path", n=120))
+    res = least_doubling(g)
+    assert res.c_g < 3
+    assert len(rows) == res.method_notes["lp_solves"]
+    assert max(rows) <= 200 < FeasibilityProblem(g).reduced_rows
+
+
+def test_hub_and_tail_finishes_under_the_cap():
+    # the slow case for CFS: each step still lowers the upper end to a
+    # measure's own constant, which the exact certificate confirms
+    for leaves in (20, 50):
+        res = least_doubling(hub_tail(leaves), certificate=True)
+        assert 0 < res.method_notes["lp_solves"] < optimizer.LP_SOLVE_CAP
+        assert res.bracket[1] - res.bracket[0] <= 1e-9
+        assert abs(float(res.certificate.c_mu_exact) - res.c_g) <= 1e-12 * res.c_g
+
+
+def test_lp_solve_cap_raises_size_cap_error(monkeypatch, capsys):
+    from dublo.cli import EXIT_VALIDATION, main
+
+    monkeypatch.setattr(optimizer, "LP_SOLVE_CAP", 2)
+    with pytest.raises(SizeCapError, match="2 LP solves"):
+        least_doubling(generate(FamilySpec("path", n=40)))
+    assert main(["compute", "--family", "path", "--n", "40"]) == EXIT_VALIDATION
+    assert "2 LP solves" in capsys.readouterr().err
+
+
+def test_tolerance_finer_than_the_lp_is_rejected():
+    # no witnessed upper end gets within 1e-13 of a proven-infeasible t
+    with pytest.raises(ValidationError, match="finer than the LP's accuracy"):
+        least_doubling(generate(FamilySpec("three_legs")), 1e-13)
 
 
 def test_minimizer_sum_stays_optimal():

@@ -38,6 +38,13 @@ def random_float_measure(rand: random.Random, n: int) -> Measure:
     return Measure(tuple(rand.uniform(0.05, 10.0) for _ in range(n)))
 
 
+def hub_tail(leaves: int) -> Graph:
+    """K_{1,leaves} with a path of ``leaves`` more vertices hung at the hub 0."""
+    star = [(0, v) for v in range(1, leaves + 1)]
+    path = list(zip([0, *range(leaves + 1, 2 * leaves)], range(leaves + 1, 2 * leaves + 1)))
+    return Graph.from_edges(2 * leaves + 1, star + path)
+
+
 def _graph_from_pairs(n: int, text: str) -> Graph:
     return Graph.from_edges(n, [tuple(map(int, pair.split("-"))) for pair in text.split()])
 
