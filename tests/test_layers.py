@@ -120,11 +120,14 @@ def test_eager_scipy_finder_sees_every_form():
     assert eager_scipy_imports(source) == [1, 2, 3, 5]
 
 
-def test_compute_without_lp_leaves_scipy_optimize_unloaded():
+def modules_after_compute(family: str) -> list[str]:
+    """Exit code of ``compute --family`` in a fresh interpreter, then whether
+    scipy.optimize and the HiGHS binding are loaded."""
     script = (
         "import sys\nfrom dublo.cli import main\n"
-        "code = main(['compute', '--family', 'petersen'])\n"
-        "print(code, 'scipy.optimize' in sys.modules, file=sys.stderr)\n"
+        f"code = main(['compute', '--family', {family!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules,\n"
+        "      'scipy.optimize._highspy._core' in sys.modules, file=sys.stderr)\n"
     )
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
@@ -134,7 +137,16 @@ def test_compute_without_lp_leaves_scipy_optimize_unloaded():
         text=True,
         timeout=60,
     )
-    assert done.stderr.split() == ["0", "False"]
+    return done.stderr.split()
+
+
+def test_compute_without_lp_leaves_scipy_optimize_unloaded():
+    assert modules_after_compute("petersen") == ["0", "False", "False"]
+
+
+def test_lp_loads_the_highs_binding_without_scipy_optimize():
+    # the binding is loaded from its file, so scipy.optimize's imports never run
+    assert modules_after_compute("three_legs") == ["0", "False", "True"]
 
 
 def exactlp_sites(source: str) -> set[str]:

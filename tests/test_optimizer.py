@@ -13,6 +13,7 @@ from dublo import (
     FeasibilityProblem,
     Measure,
     SizeCapError,
+    SolverError,
     ValidationError,
     brute_force_cg,
     brute_force_details,
@@ -63,6 +64,122 @@ def test_feasible_rejects_t_below_1():
     g = generate(FamilySpec("complete", n=2))
     with pytest.raises(ValidationError):
         feasible(g, distances(g), t=0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_rejected(t):
+    g = generate(FamilySpec("three_legs"))
+    with pytest.raises(ValidationError, match="finite"):
+        feasible(g, distances(g), t=t)
+    with pytest.raises(ValidationError, match="finite"):
+        FeasibilityProblem(g).check(t)
+
+
+def test_highs_binding_exposes_the_names_check_uses():
+    # a private scipy module: pin every name the solve reads
+    _core = optimizer._highs_binding()
+    from scipy.optimize._highspy import _core as by_name
+
+    assert _core is by_name  # one module, however it was first loaded
+    assert isinstance(_core.kHighsInf, float) and _core.kHighsInf == math.inf
+    assert _core.MatrixFormat.kColwise is not None
+    assert _core.HighsModelStatus.kOptimal is not None
+    assert _core.HighsStatus.kError is not None
+    lp = _core.HighsLp()
+    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                  "row_upper_"):
+        assert hasattr(lp, field), field
+    for field in ("format_", "num_col_", "num_row_", "start_", "index_", "value_"):
+        assert hasattr(lp.a_matrix_, field), field
+    highs = _core._Highs()
+    for method in ("setOptionValue", "passModel", "run", "getModelStatus", "modelStatusToString",
+                   "getObjectiveValue", "getSolution"):
+        assert callable(getattr(highs, method)), method
+
+
+def test_unusable_lp_coefficient_is_a_solver_error():
+    # HiGHS drops a NaN coefficient without a word, and after refusing a model
+    # (an entry of 1e15 or more) it would still report the previous answer
+    problem = FeasibilityProblem(generate(FamilySpec("three_legs")))
+    assert problem.check(3.2) is not None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="finite"):
+            problem.check(3.2, scale=np.zeros(problem.n_vars))  # 0/0 and -x/0 rows
+    a = problem.num - 3.2 * problem.den
+    for bad, reason in ((math.nan, "finite"), (math.inf, "finite"), (1e15, "rejected")):
+        a[0, 0] = bad
+        with pytest.raises(SolverError, match=reason):
+            problem._solve(a)
+
+
+def test_highs_binding_matches_linprog(monkeypatch):
+    # linprog, scipy's public HiGHS route, is the independent reference
+    from scipy.optimize import linprog
+
+    solve = FeasibilityProblem._solve
+    lps = []  # (problem, scaled row matrix, value) of every LP least_doubling solves
+
+    def recorded(self, a):
+        value, w = solve(self, a)
+        lps.append((self, a.copy(), value))
+        return value, w
+
+    monkeypatch.setattr(FeasibilityProblem, "_solve", recorded)
+    rand = random.Random(2024)
+    for _ in range(20):
+        least_doubling(random_connected_graph(rand, rand.randint(8, 20), extra=0.1))
+    least_doubling(hub_tail(8))
+    assert len(lps) >= 40
+    for problem, a, value in lps:
+        m, nv = a.shape
+        ref = linprog(
+            np.append(np.zeros(nv), 1.0),
+            A_ub=np.hstack([a, -np.ones((m, 1))]),
+            b_ub=np.zeros(m),
+            A_eq=np.append(problem.var_sizes, 0.0)[None, :],
+            b_eq=[1.0],
+            bounds=[(0, None)] * nv + [(None, None)],
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status == 0
+        assert (ref.fun > optimizer._FEAS_EPS) == (value > optimizer._FEAS_EPS)
+        assert abs(ref.fun - value) <= 1e-12
+
+
+def _spoil_cone(a, w):
+    return np.where(w == w.min(), 0.0, w)
+
+
+def _spoil_ratio(a, w):
+    # a positive entry of a: the row's ratio under a large weight there exceeds t
+    spoiled = w.copy()
+    spoiled[np.unravel_index(a.argmax(), a.shape)[1]] += 1e6 * w.max()
+    return spoiled
+
+
+@pytest.mark.parametrize("spoil, reason", [(_spoil_cone, "cone boundary"),
+                                           (_spoil_ratio, "direct ratio exceeds t")])
+def test_refused_lp_answer_is_an_error_not_a_lower_end(monkeypatch, capsys, spoil, reason):
+    # an accepted LP answer that fails the re-checks is no evidence of
+    # infeasibility: least_doubling stops with exit 4 instead of making t_lo = t
+    from dublo.cli import EXIT_SOLVER, main
+
+    solve = FeasibilityProblem._solve
+
+    def spoiled(self, a):
+        value, w = solve(self, a)
+        return value, spoil(a, w)
+
+    monkeypatch.setattr(FeasibilityProblem, "_solve", spoiled)
+    g = generate(FamilySpec("three_legs"))
+    problem = FeasibilityProblem(g)
+    with pytest.raises(SolverError, match=reason):
+        problem.check(3.2)
+    with pytest.raises(SolverError, match=rf"t = .*{reason}"):
+        least_doubling(g)
+    assert main(["compute", "--family", "three_legs"]) == EXIT_SOLVER
+    assert reason in capsys.readouterr().err
 
 
 def test_feasibility_problem_constraint_count():
