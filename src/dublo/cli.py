@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -459,6 +458,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # a fork-started pool launches all its workers at once: cap by lines and cores
     workers = min(config.parallelism, len(items), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_row, items, chunksize=4))
     else:

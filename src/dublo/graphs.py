@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -101,9 +102,10 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def adjacency_matrix(self) -> np.ndarray:
+        degrees = np.fromiter(map(len, self.adj), dtype=np.intp, count=self.n)
+        columns = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp, count=degrees.sum())
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for v, nbrs in enumerate(self.adj):
-            a[v, list(nbrs)] = 1.0
+        a[np.repeat(np.arange(self.n), degrees), columns] = 1.0
         return a
 
     @classmethod

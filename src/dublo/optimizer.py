@@ -141,7 +141,9 @@ class FeasibilityProblem:
     def _solve(self, a: np.ndarray) -> tuple[float, np.ndarray]:
         """Min s subject to a w <= s, var_sizes . w = 1, w >= 0: (s, w).
 
-        The model is dense and column-wise: the weight columns, then s.
+        The model is dense and column-wise, the weight columns then s, and is
+        handed to HiGHS as plain arrays (``passModel``'s array overload, no
+        ``HighsLp`` object).
         """
         highs = _highs_binding()
         if not np.isfinite(a).all():  # HiGHS would drop a NaN coefficient unseen
@@ -157,19 +159,18 @@ class FeasibilityProblem:
         matrix[:nv, m] = self.var_sizes
         matrix[nv, :m] = -1.0
         inf = highs.kHighsInf
-        lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = nv + 1, m + 1
-        lp.col_cost_ = np.append(np.zeros(nv), 1.0)
-        lp.col_lower_ = np.append(np.zeros(nv), -inf)
-        lp.col_upper_ = np.full(nv + 1, inf)
-        lp.row_lower_ = np.append(np.full(m, -inf), 1.0)
-        lp.row_upper_ = np.append(np.zeros(m), 1.0)
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = nv + 1, m + 1
-        lp.a_matrix_.start_ = np.arange(0, (m + 1) * (nv + 2), m + 1)
-        lp.a_matrix_.index_ = np.tile(np.arange(m + 1), nv + 1)
-        lp.a_matrix_.value_ = matrix.ravel()
-        if self._highs.passModel(lp) == highs.HighsStatus.kError:
+        status = self._highs.passModel(
+            nv + 1, m + 1, matrix.size,
+            highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,  # offset 0
+            np.append(np.zeros(nv), 1.0),  # cost
+            np.append(np.zeros(nv), -inf), np.full(nv + 1, inf),  # column bounds
+            np.append(np.full(m, -inf), 1.0), np.append(np.zeros(m), 1.0),  # row bounds
+            np.arange(0, matrix.size, m + 1, dtype=np.int32),  # column starts
+            np.tile(np.arange(m + 1, dtype=np.int32), nv + 1),  # row indices
+            matrix.ravel(),
+            np.zeros(nv + 1, dtype=np.int32),  # integrality: every column continuous
+        )
+        if status == highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")  # it would keep the last one
         self._highs.run()
         status = self._highs.getModelStatus()
@@ -406,8 +407,9 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
 
     From one class, each round splits vertices by their sorted (distance,
     class) pairs, the first round by their sorted distance rows, until the
-    class count stops growing.  Classes are numbered by their first vertex,
-    as ``orbit_partition`` numbers orbits.
+    class count stops growing.  Equal signatures are found by their bytes
+    (one ``np.void`` scalar per row).  Classes are numbered by their first
+    vertex, as ``orbit_partition`` numbers orbits.
 
     The reduction is exact because the stable partition is equitable: each
     ball matrix satisfies B_r S = S Q_r for the class indicator matrix S.
@@ -419,9 +421,10 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
     colour = np.zeros(dt.n, dtype=np.int64)
     count = 1
     while True:
-        signatures = np.sort(dt.dist * count + colour, axis=1)
-        _, first, inverse = np.unique(signatures, axis=0, return_index=True, return_inverse=True)
-        colour = np.argsort(np.argsort(first))[inverse.ravel()]
+        signatures = np.ascontiguousarray(np.sort(dt.dist * count + colour, axis=1))
+        rows = signatures.view(np.dtype((np.void, signatures[0].nbytes))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        colour = np.argsort(np.argsort(first))[inverse]
         if len(first) == count:
             return tuple(colour.tolist())
         count = len(first)

@@ -1,9 +1,15 @@
 """Spectral radius and Perron eigenvector of the adjacency matrix.
 
-Power iteration runs on A + I so the iteration converges on bipartite graphs
-too (the shift breaks the -lambda_1 oscillation); the reported radius is the
-shifted limit minus one.  The eigenvector is normalized to minimum entry 1,
-matching the optimizer's mu >= 1 convention.
+A Collatz-Wielandt loop of power iteration on A + I certifies the radius (the
+shift breaks the -lambda_1 oscillation on bipartite graphs; the reported
+radius is the shifted limit minus one).  It starts from LAPACK's top
+eigenvector (``numpy.linalg.eigh``), which usually closes the bracket on the
+first step; when that vector is not strictly positive and finite after
+scaling (tail entries that underflow on hub-and-tail graphs), it starts from
+all-ones instead, which is also exact on regular graphs.  Either way the
+start is only a guess: the Collatz-Wielandt bracket is the certificate.  The
+eigenvector is normalized to minimum entry 1, matching the optimizer's
+mu >= 1 convention.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from .graphs import Graph
 DEFAULT_EIG_TOL = 1e-12
 MAX_ITERATIONS = 10**6
 
-_DENSE_LIMIT = 256  # above this, matvecs go through a sparse matrix
-
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -30,28 +34,25 @@ class SpectralResult:
     iterations: int
 
 
-def _operator(g: Graph):
-    """Return x -> A_G x as a callable."""
-    if g.n <= _DENSE_LIMIT:
-        a = g.adjacency_matrix()
-        return lambda x: a @ x
-    from scipy.sparse import csr_array  # loaded only for large graphs
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    indices = []
-    for v, nbrs in enumerate(g.adj):
-        indptr[v + 1] = indptr[v] + len(nbrs)
-        indices.extend(nbrs)
-    a = csr_array(
-        (np.ones(len(indices)), np.array(indices, dtype=np.int64), indptr),
-        shape=(g.n, g.n),
-    )
-    return lambda x: a @ x
+def _start(g: Graph, a: np.ndarray) -> np.ndarray:
+    """The power iteration's first iterate: |top eigenvector of a|, min entry 1, or all-ones."""
+    degrees = g.degrees
+    if min(degrees) == max(degrees):  # all-ones is the Perron vector
+        return np.ones(g.n)
+    v = np.abs(np.linalg.eigh(a)[1][:, -1])
+    if v.min() > 0:
+        with np.errstate(over="ignore"):
+            x = v / v.min()
+        if np.isfinite(x).all():
+            return x
+    return np.ones(g.n)  # a zero (an underflowed tail) or an overflow: the plain start
 
 
 def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATIONS) -> SpectralResult:
     """Spectral radius and Perron eigenvector to a guaranteed tolerance.
 
-    Stops when the Collatz-Wielandt bracket closes: for a positive iterate x,
+    Starts from ``_start``'s guess and stops when the Collatz-Wielandt
+    bracket closes: for a positive iterate x,
     min_v (Ax)_v / x_v <= r(A) <= max_v (Ax)_v / x_v, so a bracket width
     <= tol bounds the radius error directly (and is scale-free, which matters
     for graphs whose Perron vector spans many orders of magnitude).  The
@@ -62,12 +63,13 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
         raise ValidationError("tolerance must be finite and > 0")
     if g.n == 1:
         return SpectralResult(0.0, np.ones(1), 0.0, 0)
-    matvec = _operator(g)
-    x = np.ones(g.n)  # deterministic start, never orthogonal to the Perron vector
+    a = g.adjacency_matrix()
+    x = _start(g, a)
     for it in range(1, max_iter + 1):
-        ax = matvec(x)
-        ratios = ax / x
-        spread = float(ratios.max() - ratios.min())
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            ax = a @ x
+            ratios = ax / x
+            spread = float(ratios.max() - ratios.min())
         if not np.isfinite(spread):
             raise SolverError(f"power iteration overflowed after {it} iterations")
         if spread <= tol:
@@ -76,7 +78,7 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
             s = np.ldexp(x, -e)
             radius = float(s @ np.ldexp(ax, -e) / (s @ s))
             u = x / x.max()
-            residual = float(np.max(np.abs(matvec(u) - radius * u)))
+            residual = float(np.max(np.abs(a @ u - radius * u)))
             return SpectralResult(radius, x / x.min(), residual, it)
         y = ax + x  # (A + I) x keeps iterates strictly positive
         x = y / y.min()

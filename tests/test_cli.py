@@ -296,7 +296,7 @@ def test_batch_workers_capped_by_line_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("dublo.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     path = tmp_path / "three.g6"
     path.write_text("A_\nBw\nCF\n")
     _, serial, _ = run_cli(capsys, "batch", "--input", str(path), "--output", "csv")

@@ -120,14 +120,15 @@ def test_eager_scipy_finder_sees_every_form():
     assert eager_scipy_imports(source) == [1, 2, 3, 5]
 
 
-def modules_after_compute(family: str) -> list[str]:
+def modules_after_compute(
+    family: str, modules: tuple[str, ...] = ("scipy.optimize", "scipy.optimize._highspy._core")
+) -> list[str]:
     """Exit code of ``compute --family`` in a fresh interpreter, then whether
-    scipy.optimize and the HiGHS binding are loaded."""
+    each of ``modules`` (by default scipy.optimize and the HiGHS binding) is loaded."""
     script = (
         "import sys\nfrom dublo.cli import main\n"
         f"code = main(['compute', '--family', {family!r}])\n"
-        "print(code, 'scipy.optimize' in sys.modules,\n"
-        "      'scipy.optimize._highspy._core' in sys.modules, file=sys.stderr)\n"
+        f"print(code, *(name in sys.modules for name in {modules!r}), file=sys.stderr)\n"
     )
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
@@ -147,6 +148,11 @@ def test_compute_without_lp_leaves_scipy_optimize_unloaded():
 def test_lp_loads_the_highs_binding_without_scipy_optimize():
     # the binding is loaded from its file, so scipy.optimize's imports never run
     assert modules_after_compute("three_legs") == ["0", "False", "True"]
+
+
+def test_compute_leaves_multiprocessing_unloaded():
+    # only batch with more than one worker starts a process pool
+    assert modules_after_compute("three_legs", ("multiprocessing",)) == ["0", "False"]
 
 
 def exactlp_sites(source: str) -> set[str]:

@@ -8,7 +8,7 @@ import pytest
 from dublo import FamilySpec, Graph, classify_leq3, generate, least_doubling, write_graph6
 from dublo.cli import EXIT_OK, main
 
-from util import hub_tail, random_connected_graph
+from util import hub_tail, random_connected_graph, relabel
 
 NAMED = (
     FamilySpec("three_legs"),
@@ -20,12 +20,6 @@ NAMED = (
 )
 
 
-def _relabel(g: Graph, rand: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rand.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _cases() -> list[tuple[str, Graph, Graph]]:
     rand = random.Random(20211117)
     graphs = [(spec.family, generate(spec)) for spec in NAMED]
@@ -34,7 +28,7 @@ def _cases() -> list[tuple[str, Graph, Graph]]:
         for i in range(5)
     ]
     graphs.append(("hub_tail_8", hub_tail(8)))  # CFS's path depends on its start here
-    return [(name, g, _relabel(g, rand)) for name, g in graphs]
+    return [(name, g, relabel(g, rand)) for name, g in graphs]
 
 
 CASES = _cases()

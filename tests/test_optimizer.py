@@ -29,9 +29,17 @@ from dublo import (
     poly_largest_root,
 )
 from dublo import optimizer
-from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec
+from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec, catalog
 
-from util import G10, connected_graphs_exactly, hub_tail, random_connected_graph, random_tree
+from util import (
+    G10,
+    connected_graphs_exactly,
+    distance_classes_by_rows,
+    hub_tail,
+    random_connected_graph,
+    random_tree,
+    relabel,
+)
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
 
@@ -82,19 +90,66 @@ def test_highs_binding_exposes_the_names_check_uses():
 
     assert _core is by_name  # one module, however it was first loaded
     assert isinstance(_core.kHighsInf, float) and _core.kHighsInf == math.inf
-    assert _core.MatrixFormat.kColwise is not None
+    assert _core.MatrixFormat.kColwise is not None  # read by passModel's array overload
+    assert _core.ObjSense.kMinimize is not None
     assert _core.HighsModelStatus.kOptimal is not None
     assert _core.HighsStatus.kError is not None
-    lp = _core.HighsLp()
-    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
-                  "row_upper_"):
-        assert hasattr(lp, field), field
-    for field in ("format_", "num_col_", "num_row_", "start_", "index_", "value_"):
-        assert hasattr(lp.a_matrix_, field), field
     highs = _core._Highs()
     for method in ("setOptionValue", "passModel", "run", "getModelStatus", "modelStatusToString",
                    "getObjectiveValue", "getSolution"):
         assert callable(getattr(highs, method)), method
+
+
+def _solve_through_highs_lp(problem: FeasibilityProblem, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """``FeasibilityProblem._solve``'s LP, handed to HiGHS as a ``HighsLp`` object."""
+    _core = optimizer._highs_binding()
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("primal_feasibility_tolerance", 1e-10)
+    highs.setOptionValue("dual_feasibility_tolerance", 1e-10)
+    m, nv = a.shape
+    matrix = np.zeros((nv + 1, m + 1))
+    matrix[:nv, :m] = a.T
+    matrix[:nv, m] = problem.var_sizes
+    matrix[nv, :m] = -1.0
+    inf = _core.kHighsInf
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = nv + 1, m + 1
+    lp.col_cost_ = np.append(np.zeros(nv), 1.0)
+    lp.col_lower_ = np.append(np.zeros(nv), -inf)
+    lp.col_upper_ = np.full(nv + 1, inf)
+    lp.row_lower_ = np.append(np.full(m, -inf), 1.0)
+    lp.row_upper_ = np.append(np.zeros(m), 1.0)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = nv + 1, m + 1
+    lp.a_matrix_.start_ = np.arange(0, (m + 1) * (nv + 2), m + 1)
+    lp.a_matrix_.index_ = np.tile(np.arange(m + 1), nv + 1)
+    lp.a_matrix_.value_ = matrix.ravel()
+    assert highs.passModel(lp) != _core.HighsStatus.kError
+    highs.run()
+    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+    return highs.getObjectiveValue(), np.array(highs.getSolution().col_value[:nv])
+
+
+def test_array_handoff_matches_a_highs_lp_bit_for_bit(monkeypatch):
+    # the same model passed as arrays or as a HighsLp object gives the same answer
+    solve = FeasibilityProblem._solve
+    lps = []  # (problem, scaled row matrix, value, weights) of every LP least_doubling solves
+
+    def recorded(self, a):
+        value, w = solve(self, a)
+        lps.append((self, a.copy(), value, w))
+        return value, w
+
+    monkeypatch.setattr(FeasibilityProblem, "_solve", recorded)
+    rand = random.Random(15)
+    for _ in range(20):
+        least_doubling(random_connected_graph(rand, rand.randint(8, 24), extra=0.1))
+    assert len(lps) >= 40
+    for problem, a, value, w in lps:
+        ref_value, ref_w = _solve_through_highs_lp(problem, a)
+        assert value == ref_value
+        assert np.array_equal(w, ref_w)
 
 
 def test_unusable_lp_coefficient_is_a_solver_error():
@@ -180,6 +235,20 @@ def test_refused_lp_answer_is_an_error_not_a_lower_end(monkeypatch, capsys, spoi
         least_doubling(g)
     assert main(["compute", "--family", "three_legs"]) == EXIT_SOLVER
     assert reason in capsys.readouterr().err
+
+
+def test_distance_classes_match_the_row_unique_reference():
+    # the byte-keyed refinement groups and numbers exactly as np.unique(axis=0) does
+    rand = random.Random(1515)
+    graphs = [g for _, g in catalog()]
+    graphs += [
+        random_connected_graph(rand, rand.randint(5, 40), extra=rand.choice((0.0, 0.05, 0.2)))
+        for _ in range(100)
+    ]
+    for g in graphs:
+        for h in (g, relabel(g, rand)):
+            dt = distances(h)
+            assert optimizer._distance_classes(dt) == distance_classes_by_rows(dt.dist), h.edges()
 
 
 def test_feasibility_problem_constraint_count():

@@ -21,7 +21,7 @@ from dublo import (
 )
 from dublo.families import FamilySpec, catalog
 
-from util import random_connected_graph
+from util import hub_tail, random_connected_graph
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -62,18 +62,19 @@ def test_perron_positive_eigvec_and_residual():
 def test_perron_nonconvergence_raises():
     from dublo import SolverError
 
-    g = generate(FamilySpec("path", n=30))
+    # LAPACK's top eigenvector has exact zeros in this tail, so the loop starts
+    # from all-ones, which needs 124 steps; no start closes it in 5
     with pytest.raises(SolverError, match="did not reach"):
-        perron(g, tol=1e-13, max_iter=5)
+        perron(hub_tail(50), tol=1e-13, max_iter=5)
 
 
 def test_perron_rejects_a_nan_tolerance_before_iterating(monkeypatch):
-    from dublo import ValidationError, spectral
+    from dublo import ValidationError
 
     def refuse(g):
         raise AssertionError("power iteration started")
 
-    monkeypatch.setattr(spectral, "_operator", refuse)
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
     with pytest.raises(ValidationError, match="finite"):
         perron(generate(FamilySpec("path", n=30)), tol=float("nan"))
 
@@ -237,3 +238,52 @@ def test_perron_overflow_fails_fast():
     with pytest.raises(SolverError, match="overflowed"):
         perron(g)
     assert time.perf_counter() - start < 2.0
+
+
+def _circulant(n: int, jumps) -> Graph:
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def _hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d)])
+
+
+def test_regular_graphs_close_on_the_first_step_at_the_degree():
+    # all-ones is the exact Perron vector of a regular graph, so it stays the start
+    cases = [_circulant(n, jumps) for n, jumps in ((12, (1,)), (17, (1, 3)), (30, (1, 2, 4)),
+                                                   (41, (1, 4)))]
+    cases += [_hypercube(4), generate(FamilySpec("petersen")), generate(FamilySpec("doyle"))]
+    for g in cases:
+        res = perron(g)
+        assert res.iterations == 1, g.edges()
+        assert res.radius == g.degree(0), g.edges()
+        assert (res.eigvec == 1.0).all()
+
+
+def test_warm_started_radius_matches_eigvalsh():
+    rand = random.Random(1212)
+    graphs = [g for _, g in catalog()]
+    graphs += [random_connected_graph(rand, rand.randint(2, 40), extra=rand.choice((0.0, 0.1, 0.3)))
+               for _ in range(50)]
+    for g in graphs:
+        top = np.linalg.eigvalsh(g.adjacency_matrix())[-1]
+        assert abs(perron(g).radius - top) <= 1e-12, g.edges()
+
+
+def test_eigh_start_closes_a_long_path_in_a_few_steps():
+    # from all-ones, path_500 took 189,347 steps
+    res = perron(generate(FamilySpec("path", n=500)))
+    assert res.iterations <= 3
+    assert res.residual <= 1e-12
+
+
+def test_no_graph_needs_more_steps_than_from_all_ones(monkeypatch):
+    from dublo import spectral
+
+    cases = [hub_tail(leaves) for leaves in (8, 30, 50, 70, 100)]
+    cases += [_tailed(_clique_edges(100), 100, 150),
+              _tailed([(0, i) for i in range(1, 201)], 201, 200)]
+    warm = [perron(g).iterations for g in cases]
+    monkeypatch.setattr(spectral, "_start", lambda g, a: np.ones(g.n))
+    cold = [perron(g).iterations for g in cases]
+    assert all(w <= c for w, c in zip(warm, cold)), (warm, cold)

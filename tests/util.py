@@ -11,6 +11,8 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
+import numpy as np
+
 from dublo import Graph, Measure
 
 
@@ -24,6 +26,27 @@ def random_connected_graph(rand: random.Random, n: int, extra: float = 0.3) -> G
             if (u, v) not in edges and rand.random() < extra:
                 edges.add((u, v))
     return Graph.from_edges(n, edges)
+
+
+def relabel(g: Graph, rand: random.Random) -> Graph:
+    """The same graph under a uniformly random vertex permutation."""
+    perm = list(range(g.n))
+    rand.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def distance_classes_by_rows(dist: np.ndarray) -> tuple[int, ...]:
+    """Reference distance colour refinement: equal signatures found by
+    ``np.unique(axis=0)`` on the sorted rows, classes numbered by first vertex."""
+    colour = np.zeros(len(dist), dtype=np.int64)
+    count = 1
+    while True:
+        signatures = np.sort(dist * count + colour, axis=1)
+        _, first, inverse = np.unique(signatures, axis=0, return_index=True, return_inverse=True)
+        colour = np.argsort(np.argsort(first))[inverse.ravel()]
+        if len(first) == count:
+            return tuple(colour.tolist())
+        count = len(first)
 
 
 def random_tree(rand: random.Random, n: int) -> Graph:
