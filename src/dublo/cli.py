@@ -69,6 +69,7 @@ class RunConfig:
 
 
 _SETTINGS = {f.name: f for f in fields(RunConfig)}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _read_input(source: str, errors: str = "strict") -> str:
@@ -105,8 +106,8 @@ def _parse_config_file(path: str) -> dict:
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
         kind = type(_SETTINGS[key].default)
         try:
-            values[key] = val.lower() in ("1", "true", "yes") if kind is bool else kind(val)
-        except ValueError:
+            values[key] = _BOOLS[val.lower()] if kind is bool else kind(val)
+        except (KeyError, ValueError):
             raise ParseError(f"{path}:{lineno}: malformed value {val!r} for {key}") from None
     return values
 

@@ -114,12 +114,19 @@ def restricted_constant(
 
 def doubling_report(g: Graph, dt: DistanceTable, mu: Measure) -> DoublingReport:
     """Evaluate every restricted constant; C_mu is their maximum."""
+    return _masses_and_report(g, dt, mu)[1]
+
+
+def _masses_and_report(
+    g: Graph, dt: DistanceTable, mu: Measure
+) -> tuple[np.ndarray, DoublingReport]:
+    """A measure's ``_ball_masses`` table around every vertex, and the report read from it."""
     if len(mu) != g.n:
         raise ValidationError(f"measure has {len(mu)} weights for a {g.n}-vertex graph")
     weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
     masses = _ball_masses(dt.dist, weights, dt.diam)
     per_k = tuple(PerRadius(k, *top) for k, top in enumerate(_max_ratios(masses)))
-    return DoublingReport(max(p.value for p in per_k), per_k, max_radius_index(dt.diam))
+    return masses, DoublingReport(max(p.value for p in per_k), per_k, max_radius_index(dt.diam))
 
 
 def _scaled_integers(weights: Sequence[Weight]) -> tuple[np.ndarray, int]:

@@ -42,9 +42,7 @@ THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
 E8_RATIO_POLY = (1.0, -6.0, 11.0, -4.0, -10.0, 14.0, -8.0, 2.0, 0.0)
 
 
-def poly_largest_root(
-    coeffs: Sequence[float], tol: float = 1e-12, floor: float | None = None
-) -> float:
+def poly_largest_root(coeffs: Sequence[float], tol: float = 1e-12) -> float:
     """Largest real root of a polynomial (coefficients highest degree first).
 
     Brackets from the Cauchy bound and scans downward for the rightmost sign
@@ -61,24 +59,20 @@ def poly_largest_root(
         return acc
 
     cauchy = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0]) if len(coeffs) > 1 else 1.0
-    lo_limit = -cauchy if floor is None else floor
-    hi = cauchy
     steps = 4096
-    xs = np.linspace(hi, lo_limit, steps + 1)
+    xs = np.linspace(cauchy, -cauchy, steps + 1)
     vals = [p(float(x)) for x in xs]
-    bracket = None
     for i in range(steps):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             return float(xs[i])
         if a * b < 0:
-            bracket = (float(xs[i + 1]), float(xs[i]))
+            lo, hi = float(xs[i + 1]), float(xs[i])
             break
     else:
         if vals[-1] == 0.0:
             return float(xs[-1])
-        raise ValidationError("no real root found above the search floor")
-    lo, hi = bracket
+        raise ValidationError("no real root found")
     flo = p(lo)
     for _ in range(200):
         if hi - lo <= tol:

@@ -24,6 +24,8 @@ subset of rows: the radius-0 rows plus those with the highest ratios at the
 start, and each answer is solved again with the inactive rows nearest to
 binding until no inactive row lies above the LP's value, so every step is
 the full LP's.  A subset without a solution proves the full system has none.
+Only imposed rows are built; each measure gets one ball-mass pass, which
+gives both its constant and its row masses for the start order and that test.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .doubling import (
     DoublingReport,
     Measure,
-    _ball_masses,
+    _masses_and_report,
     counting_measure,
     doubling_report,
     exact_slacks,
@@ -66,7 +68,8 @@ class FeasibilityProblem:
     Variables are per-vertex weights, or per-class weights when ``classes``
     (each vertex's class in an equitable partition, such as
     ``OrbitPartition.orbit_of``) is supplied; one row per class then suffices,
-    because class-constant measures make same-class rows identical.
+    because class-constant measures make same-class rows identical.  Rows,
+    (k, representative) pairs numbered k-major, are built only when imposed.
     """
 
     def __init__(
@@ -80,17 +83,12 @@ class FeasibilityProblem:
         self.k_max = max_radius_index(self.dt.diam)
         self._expand_map = np.arange(g.n) if classes is None else np.asarray(classes)
         _, first, sizes = np.unique(self._expand_map, return_index=True, return_counts=True)
-        self.reps = first.tolist()
+        self.reps = first
         self.var_sizes = sizes.astype(float)
         self.n_vars = len(first)
         self._highs = None  # the HiGHS instance, made by the first solve
-        # |B(rep, r) ∩ class| at radii k and 2k+1, one row per (k, representative), k-major
-        count = _ball_masses(
-            self.dt.dist[self.reps], np.ones(g.n, dtype=np.int64), self.dt.diam, self._expand_map
-        )
-        self.den, self.num = (
-            c.transpose(1, 0, 2).reshape(-1, self.n_vars) for c in np.split(count, 2, axis=1)
-        )
+        # class indicator: vertex v lies in class c exactly when entry (v, c) is 1
+        self._indicator = np.equal.outer(self._expand_map, np.arange(self.n_vars)).astype(float)
 
     @property
     def constraint_count(self) -> int:
@@ -104,17 +102,33 @@ class FeasibilityProblem:
     def expand(self, weights: Sequence) -> tuple:
         return tuple(weights[c] for c in self._expand_map)
 
+    def rows(self, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(den, num): int64 |B(rep, r) ∩ class| at r = k and 2k+1 for k-major rows ``ids``.
+
+        Every row by default.  Float products of 0/1 entries, exact below 2**53.
+        """
+        k, i = np.divmod(np.arange(self.reduced_rows) if ids is None else ids, self.n_vars)
+        dist = self.dt.dist[self.reps[i]]
+        return tuple(
+            ((dist <= r[:, None]) @ self._indicator).astype(np.int64) for r in (k, 2 * k + 1)
+        )
+
+    def row_masses(self, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(den, num) of every k-major row, read from a measure's ball-mass table."""
+        return tuple(masses[self.reps].T.reshape(2, -1))
+
     def check(
         self, t: float, rows: np.ndarray | None = None, scale: np.ndarray | None = None
     ) -> Measure | None:
         """Float LP: minimal max-violation over the weight simplex.
 
         Solved by HiGHS via scipy's bundled binding, each solve cold.  Imposes
-        the k-major reduced ``rows`` (every row by default).  With ``scale``,
-        reduced weights x, each row N_i - t D_i is divided by D_i x, its
-        radius-k ball mass under x.  Returns a strictly positive measure (min
-        weight 1) whose ratios on the imposed rows are re-verified directly
-        against t, or None when the LP's value exceeds ``_FEAS_EPS``, which
+        the k-major reduced ``rows`` (every row by default), whose counts
+        ``self.rows`` builds for this call only.  With ``scale``, reduced
+        weights x, each row N_i - t D_i is divided by D_i x, its radius-k ball
+        mass under x.  Returns a strictly positive measure (min weight 1)
+        whose ratios on the imposed rows are re-verified directly against t,
+        or None when the LP's value exceeds ``_FEAS_EPS``, which
         proves t infeasible: scaling keeps the feasible set, and rows with no
         common solution leave the full system none.  An accepted answer on
         the cone boundary, or one whose direct ratios exceed t, proves
@@ -123,7 +137,7 @@ class FeasibilityProblem:
         """
         if not math.isfinite(t):
             raise ValidationError(f"candidate constant must be finite, got {t!r}")
-        den, num = (self.den, self.num) if rows is None else (self.den[rows], self.num[rows])
+        den, num = self.rows(rows)
         a = num - t * den
         if scale is not None:
             a /= (den @ scale)[:, None]
@@ -135,8 +149,7 @@ class FeasibilityProblem:
         if ((num @ w) / (den @ w)).max() > t * (1 + 1e-11):
             raise SolverError(f"LP at t = {t!r} accepted weights whose direct ratio exceeds t")
         full = np.array(self.expand(w))
-        full = full / full.min()
-        return Measure(tuple(float(x) for x in full))
+        return Measure(tuple((full / full.min()).tolist()))
 
     def _solve(self, a: np.ndarray) -> tuple[float, np.ndarray]:
         """Min s subject to a w <= s, var_sizes . w = 1, w >= 0: (s, w).
@@ -183,14 +196,6 @@ class FeasibilityProblem:
         x = np.array([float(mu[v]) for v in self.reps])
         return x / (self.var_sizes @ x)
 
-    def ratios(self, weights: np.ndarray) -> np.ndarray:
-        """Doubling ratio of every k-major reduced row under reduced weights."""
-        return (self.num @ weights) / (self.den @ weights)
-
-    def max_ratio(self, weights: np.ndarray) -> float:
-        """Largest doubling ratio of a (reduced) weight vector, evaluated directly."""
-        return float(self.ratios(weights).max())
-
     def check_exact(self, t: Fraction) -> tuple[Measure, tuple[Fraction, ...]] | None:
         """Exact-rational feasibility at rational t; measure plus per-row slacks.
 
@@ -204,7 +209,7 @@ class FeasibilityProblem:
                 f"exact mode capped at {EXACT_CONSTRAINT_CAP} constraints, "
                 f"got {self.constraint_count}"
             )
-        den, num = self.den, self.num
+        den, num = self.rows()
         x = exactlp.feasible_min_one((num.astype(object) - t * den.astype(object)).tolist())
         if x is None:
             return None
@@ -308,8 +313,9 @@ def least_doubling(
     dt = dt or distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
     class_count = max(classes) + 1
-    c0, mu0, report0 = _perron_pass(g, dt, eig_tol)
-    counting = doubling_report(g, dt, counting_measure(g))
+    c0, mu0 = _perron_pass(g, eig_tol)
+    masses0, report0 = _masses_and_report(g, dt, mu0)
+    counting_masses, counting = _masses_and_report(g, dt, counting_measure(g))
     c_g_exact = counting.c_mu if class_count == 1 else None
     notes: dict = {
         "diam": dt.diam,
@@ -322,19 +328,21 @@ def least_doubling(
         "lp_solves": 0,
     }
 
+    # each measure's one ball-mass table gives its report and its LP row masses
     if float(counting.c_mu) < float(report0.c_mu):
-        best_mu, minimizer_report = counting_measure(g), counting
+        best_mu, minimizer_report, best = counting_measure(g), counting, counting_masses
     else:
-        best_mu, minimizer_report = mu0, report0
+        best_mu, minimizer_report, best = mu0, report0, masses0
     t_lo = c0 if c_g_exact is None else float(c_g_exact)
     t_hi = max(float(minimizer_report.c_mu), t_lo)
     if t_hi - t_lo > tol:
         problem = FeasibilityProblem(g, dt, classes)
         x = problem.reduce(best_mu)
+        den_x, num_x = problem.row_masses(best)
         batch = max(problem.n_vars, 8)
         active = np.zeros(problem.reduced_rows, dtype=bool)
         active[: problem.n_vars] = True  # radius-0 rows: every weight stays positive
-        active[np.argsort(-problem.ratios(x), kind="stable")[:batch]] = True
+        active[np.argsort(-(num_x / den_x), kind="stable")[:batch]] = True
         t = _below(t_hi, tol)
         while t_hi - t_lo > tol:
             if notes["lp_solves"] >= LP_SOLVE_CAP:
@@ -347,19 +355,20 @@ def least_doubling(
             if found is None:
                 t_lo = t
                 continue
-            report = doubling_report(g, dt, found)
+            masses, report = _masses_and_report(g, dt, found)
             if float(report.c_mu) < t_hi:
-                t_hi, best_mu, minimizer_report = float(report.c_mu), found, report
+                t_hi, best_mu, minimizer_report, best = float(report.c_mu), found, report, masses
             # found is the full LP's optimum (the CFS step) once no inactive
             # row lies above the active maximum, and feasible at t once none
             # lies above 0; else add the inactive rows nearest to binding
-            w = problem.reduce(found)
-            v = (problem.num @ w - t * (problem.den @ w)) / (problem.den @ x)
+            den_w, num_w = problem.row_masses(masses)
+            v = (num_w - t * den_w) / den_x
             rest = np.flatnonzero(~active)
             if rest.size and v[rest].max() > min(v[active].max(), 0.0):
                 active[rest[np.argsort(-v[rest], kind="stable")[:batch]]] = True
                 continue
             x, t, last = problem.reduce(best_mu), _below(t_hi, tol), t
+            den_x = problem.row_masses(best)[0]
             if t == last:  # no step below t_hi: found meets t only within check's 1e-11
                 raise ValidationError(
                     f"tolerance {tol!r} is finer than the LP's accuracy at t = {t!r}"
@@ -393,13 +402,10 @@ def _below(t_hi: float, tol: float) -> float:
     return t
 
 
-def _perron_pass(
-    g: Graph, dt: DistanceTable, eig_tol: float
-) -> tuple[float, Measure, DoublingReport]:
-    """C0 = 1 + r(A_G), the Perron measure and its full doubling report."""
+def _perron_pass(g: Graph, eig_tol: float) -> tuple[float, Measure]:
+    """C0 = 1 + r(A_G) and the Perron measure."""
     spectrum = perron(g, eig_tol)
-    mu0 = Measure(tuple(float(w) for w in spectrum.eigvec))
-    return 1.0 + spectrum.radius, mu0, doubling_report(g, dt, mu0)
+    return 1.0 + spectrum.radius, Measure(tuple(float(w) for w in spectrum.eigvec))
 
 
 def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
@@ -435,8 +441,8 @@ def check_lemachorra(g: Graph, tol: float = LEMACHORRA_TOL) -> dict:
 
     Equality (within tol) certifies C_G = C_G^0 without running the optimizer.
     """
-    c0, _, report0 = _perron_pass(g, distances(g), DEFAULT_EIG_TOL)
-    return _lemachorra_record(c0, report0, tol)
+    c0, mu0 = _perron_pass(g, DEFAULT_EIG_TOL)
+    return _lemachorra_record(c0, doubling_report(g, distances(g), mu0), tol)
 
 
 def _lemachorra_record(c0: float, perron_report: DoublingReport, tol: float) -> dict:
@@ -473,24 +479,12 @@ def brute_force_details(
         raise ValidationError("grid resolution must be >= 2")
     dt = distances(g)
     kmax = max_radius_index(dt.diam)
-    if symmetric:
-        orbits = orbit_partition(g)
-        orbit_of = orbits.orbit_of
-        dims = len(orbits.orbits)
-    else:
-        orbit_of = tuple(range(g.n))
-        dims = g.n
-    member = np.zeros((g.n, dims))
-    for v, o in enumerate(orbit_of):
-        member[v, o] = 1.0
-    count = [
-        (dt.dist <= r).astype(float) @ member for r in range(2 * kmax + 2)
-    ]
+    orbit_of = orbit_partition(g).orbit_of if symmetric else tuple(range(g.n))
+    dims = max(orbit_of) + 1  # orbits are numbered 0, 1, ... by first vertex
+    member = np.equal.outer(orbit_of, np.arange(dims)).astype(float)
+    count = [(dt.dist <= r).astype(float) @ member for r in range(2 * kmax + 2)]
 
-    if dims == 1:
-        w = np.ones((1, 1), dtype=np.int64)
-    else:
-        w = _grid(grid_resolution, dims)
+    w = np.ones((1, 1), dtype=np.int64) if dims == 1 else _grid(grid_resolution, dims)
     best_val = math.inf
     best_row = None
     chunk = 200_000

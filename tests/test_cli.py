@@ -443,7 +443,11 @@ def test_truncate_malformed_depths_is_parse_error(capsys, depths):
     assert "parse error" in err
 
 
-@pytest.mark.parametrize("line", ["tolerance_bisect = abc", "size_cap = 1.5"])
+@pytest.mark.parametrize(
+    "line",
+    ["tolerance_bisect = abc", "size_cap = 1.5", "certificate_mode = maybe",
+     "certificate_mode = 2", "certificate_mode ="],
+)
 def test_config_malformed_number_is_parse_error(tmp_path, capsys, line):
     cfg = tmp_path / "dublo.cfg"
     cfg.write_text(line + "\n")
@@ -577,6 +581,19 @@ def test_every_setting_can_be_set_from_a_config_file(tmp_path):
     for f in fields(RunConfig):
         got = getattr(config, f.name)
         assert got == values[f.name][1] and type(got) is type(f.default), f.name
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+)
+def test_config_file_booleans_are_case_insensitive(tmp_path, text, value):
+    from dublo.cli import build_config, build_parser
+
+    cfg = tmp_path / "dublo.cfg"
+    cfg.write_text(f"certificate_mode = {text}\n")
+    config = build_config(build_parser().parse_args(["compute", "--config", str(cfg)]))
+    assert config.certificate_mode is value
 
 
 @pytest.mark.parametrize("command", sorted(READS))

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from dublo import (
     poly_largest_root,
 )
 from dublo import optimizer
+from dublo.doubling import _masses_and_report
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec, catalog
 
 from util import (
@@ -39,6 +41,7 @@ from util import (
     random_connected_graph,
     random_tree,
     relabel,
+    row_tables,
 )
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
@@ -160,7 +163,8 @@ def test_unusable_lp_coefficient_is_a_solver_error():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="finite"):
             problem.check(3.2, scale=np.zeros(problem.n_vars))  # 0/0 and -x/0 rows
-    a = problem.num - 3.2 * problem.den
+    den, num = problem.rows(np.arange(problem.reduced_rows))
+    a = num - 3.2 * den
     for bad, reason in ((math.nan, "finite"), (math.inf, "finite"), (1e15, "rejected")):
         a[0, 0] = bad
         with pytest.raises(SolverError, match=reason):
@@ -249,6 +253,39 @@ def test_distance_classes_match_the_row_unique_reference():
         for h in (g, relabel(g, rand)):
             dt = distances(h)
             assert optimizer._distance_classes(dt) == distance_classes_by_rows(dt.dist), h.edges()
+
+
+def test_rows_match_the_full_table_reference():
+    # rows built per id equal the full class-split tables, reduced or not
+    rand = random.Random(1717)
+    graphs = [g for _, g in catalog()]
+    graphs += [
+        random_connected_graph(rand, rand.randint(5, 30), extra=rand.choice((0.0, 0.05, 0.2)))
+        for _ in range(50)
+    ]
+    for g in graphs:
+        for h in (g, relabel(g, rand)):
+            dt = distances(h)
+            for classes in (optimizer._distance_classes(dt), tuple(range(h.n))):
+                problem = FeasibilityProblem(h, dt, classes)
+                want = row_tables(dt.dist, dt.diam, classes)
+                got = problem.rows(np.arange(problem.reduced_rows))
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), h.edges()
+
+
+def test_row_masses_are_the_reference_rows_times_the_reduced_weights():
+    rand = random.Random(1718)
+    for _ in range(20):
+        g = random_connected_graph(rand, rand.randint(5, 20), extra=0.1)
+        dt = distances(g)
+        classes = optimizer._distance_classes(dt)
+        problem = FeasibilityProblem(g, dt, classes)
+        mu = perron_measure(g)
+        x = np.array([mu[v] for v in problem.reps])
+        got = problem.row_masses(_masses_and_report(g, dt, mu)[0])
+        for a, table in zip(got, row_tables(dt.dist, dt.diam, classes)):
+            assert a == pytest.approx(table @ x, rel=1e-13)
 
 
 def test_feasibility_problem_constraint_count():
@@ -614,15 +651,59 @@ def test_certificate_path_60_is_fast():
     assert cert.t <= res.c_g * (1 + 1e-10)
 
 
+def test_path_500_peaks_below_64_mb():
+    # the LPs impose at most 501 of path_500's 62,500 reduced rows, so no
+    # table over all of them may be built (full tables peaked at 477 MB)
+    g = generate(FamilySpec("path", n=500))
+    tracemalloc.start()
+    try:
+        least_doubling(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_each_measure_gets_one_ball_mass_pass(monkeypatch):
+    # the Perron and counting measures and every LP answer: one pass over all
+    # vertices each, which gives both the report and the LP's row masses
+    from dublo import doubling
+
+    passes, answers = [], []
+    ball_masses, check = doubling._ball_masses, FeasibilityProblem.check
+
+    def counted_masses(dist, *args):
+        passes.append(dist.shape[0])
+        return ball_masses(dist, *args)
+
+    def counted_check(self, *args):
+        answers.append(check(self, *args))
+        return answers[-1]
+
+    monkeypatch.setattr(doubling, "_ball_masses", counted_masses)
+    # and under the name an import into optimizer would bind, so no pass goes unseen
+    monkeypatch.setattr(optimizer, "_ball_masses", counted_masses, raising=False)
+    monkeypatch.setattr(FeasibilityProblem, "check", counted_check)
+    rand = random.Random(19)
+    graphs = [hub_tail(12), generate(FamilySpec("three_legs"))]
+    graphs += [random_connected_graph(rand, rand.randint(8, 20), extra=0.1) for _ in range(5)]
+    for g in graphs:
+        passes.clear()
+        answers.clear()
+        least_doubling(g)
+        assert answers, g.edges()
+        assert passes == [g.n] * (2 + sum(a is not None for a in answers)), g.edges()
+
+
 def test_max_ratio_is_the_report_constant():
     rand = random.Random(78)
     for _ in range(10):
         g = random_connected_graph(rand, rand.randint(3, 12))
         dt = distances(g)
         res = least_doubling(g, dt=dt)
-        problem = FeasibilityProblem(g, dt, res.classes)
-        weights = [res.minimizer[v] for v in problem.reps]
-        assert problem.max_ratio(np.array(weights)) == pytest.approx(
+        den, num = row_tables(dt.dist, dt.diam, res.classes)
+        weights = np.array([res.minimizer[v] for v in FeasibilityProblem(g, dt, res.classes).reps])
+        assert ((num @ weights) / (den @ weights)).max() == pytest.approx(
             float(doubling_report(g, dt, res.minimizer).c_mu), rel=1e-13
         )
 
