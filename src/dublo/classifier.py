@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SolverError
-from .families import smith_c0_table  # noqa: F401 - re-exported; defined in families
 from .graphs import Graph, structural_facts
 from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 

@@ -140,24 +140,16 @@ def _scaled_integers(weights: Sequence[Weight]) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=np.int64 if sum(ints) < 2**63 else object), scale
 
 
-def _ball_masses(
-    dist: np.ndarray, weights: np.ndarray, diam: int, classes: np.ndarray | None = None
-) -> np.ndarray:
+def _ball_masses(dist: np.ndarray, weights: np.ndarray, diam: int) -> np.ndarray:
     """Ball masses around each row's centre at radii k, then 2k+1, for k = 0..k_max.
 
     One histogram pass adds each weight to the bucket of its distance from
     each centre, a cumulative sum over r = 0..diam makes the table
     mass[i, r] = mu(B(c_i, r)), and the doubling radii are read from it (2k+1
-    capped at diam, where balls saturate).  ``classes`` splits each bucket
-    by the class of the vertex, adding a last axis.  The dtype is the weights'.
+    capped at diam, where balls saturate).  The dtype is the weights'.
     """
-    shape: tuple[int, ...] = (dist.shape[0], diam + 1)
-    index = (np.arange(dist.shape[0])[:, None], dist)
-    if classes is not None:
-        shape += (int(classes.max()) + 1,)
-        index += (classes,)
-    buckets = np.zeros(shape, dtype=weights.dtype)
-    np.add.at(buckets, index, weights)
+    buckets = np.zeros((dist.shape[0], diam + 1), dtype=weights.dtype)
+    np.add.at(buckets, (np.arange(dist.shape[0])[:, None], dist), weights)
     np.cumsum(buckets, axis=1, out=buckets)
     ks = np.arange(max_radius_index(diam) + 1)
     return buckets[:, np.concatenate([ks, np.minimum(2 * ks + 1, diam)])]

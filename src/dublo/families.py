@@ -34,7 +34,7 @@ import numpy as np
 
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
-from .graphs import Graph, distances, structural_facts
+from .graphs import DEFAULT_SIZE_CAP, Graph, distances, single_source, structural_facts
 from .spectral import DEFAULT_EIG_TOL, perron
 from .symmetry import orbit
 
@@ -42,11 +42,11 @@ THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
 E8_RATIO_POLY = (1.0, -6.0, 11.0, -4.0, -10.0, 14.0, -8.0, 2.0, 0.0)
 
 
-def poly_largest_root(coeffs: Sequence[float], tol: float = 1e-12) -> float:
+def poly_largest_root(coeffs: Sequence[float]) -> float:
     """Largest real root of a polynomial (coefficients highest degree first).
 
     Brackets from the Cauchy bound and scans downward for the rightmost sign
-    change, then bisects to tol.
+    change, then bisects to a width of 1e-12.
     """
     coeffs = [float(c) for c in coeffs]
     if not coeffs or coeffs[0] == 0:
@@ -75,7 +75,7 @@ def poly_largest_root(coeffs: Sequence[float], tol: float = 1e-12) -> float:
         raise ValidationError("no real root found")
     flo = p(lo)
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
         fm = p(mid)
@@ -196,7 +196,7 @@ _HATTED_LEGS = {
 }
 
 
-def _legs_tree(legs: tuple[int, ...], cap: int | None) -> Graph:
+def _legs_tree(legs: tuple[int, ...], cap: int) -> Graph:
     edges = []
     nxt = 1
     for length in legs:
@@ -233,10 +233,10 @@ def smith_c0_table(spec: FamilySpec) -> float:
     return 1 + 2 * math.cos(math.pi / coxeter)
 
 
-def _check_radius(spec: FamilySpec, g: Graph, tol: float = 1e-9) -> None:
+def _check_radius(spec: FamilySpec, g: Graph) -> None:
     radius = perron(g).radius
     expected = smith_c0_table(spec) - 1
-    if abs(radius - expected) > tol:
+    if abs(radius - expected) > 1e-9:
         _fail(spec, f"spectral radius {radius} != {expected}")
 
 
@@ -262,7 +262,7 @@ def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
     )
 
 
-def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
+def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Build the family member and run its structural self-check."""
     fam = spec.family
     if fam == "complete":
@@ -385,7 +385,7 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
         if len(orbit(0, _DOYLE_WITNESS)) != g.n:
             _fail(spec, "doyle vertex transitivity")
         # on a vertex-transitive graph every eccentricity is the diameter
-        if max(_single_source(g, 0)) != 3:
+        if max(single_source(g, 0)) != 3:
             _fail(spec, "doyle diameter")
         return g
     if fam == "grid_ray_truncation":
@@ -396,7 +396,7 @@ def generate(spec: FamilySpec, cap: int | None = None) -> Graph:
     raise ValidationError(f"no generator for family {spec.family!r}")
 
 
-def grid_ray_truncation(depth: int, cap: int | None = None) -> tuple[Graph, int]:
+def grid_ray_truncation(depth: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[Graph, int]:
     """Square lattice plus a ray at the origin, truncated at radius 3*depth+1.
 
     Returns the graph and the index of the probe vertex (0, 0, depth) on the
@@ -405,7 +405,7 @@ def grid_ray_truncation(depth: int, cap: int | None = None) -> tuple[Graph, int]
     """
     radius = 3 * depth + 1
     n = 2 * radius * (radius + 1) + 1 + radius  # the lattice ball |x| + |y| <= radius, the ray
-    if cap is not None and n > cap:  # checked before the build, which is quadratic in depth
+    if n > cap:  # checked before the build, which is quadratic in depth
         raise SizeCapError(f"graph has {n} vertices, cap is {cap}")
     index: dict[tuple[int, int, int], int] = {}
     labels: list[str] = []
@@ -426,7 +426,7 @@ def grid_ray_truncation(depth: int, cap: int | None = None) -> tuple[Graph, int]
                     edges.append((i, j))
         else:
             edges.append((i, index[(0, 0, z - 1)]))
-    g = Graph.from_edges(n, edges, labels=tuple(labels), cap=n)
+    g = Graph.from_edges(n, edges, labels=tuple(labels), cap=cap)
     return g, index[(0, 0, depth)]
 
 
@@ -512,7 +512,7 @@ TRUNCATION_FAMILIES = ("path_N", "path_Z", "d_infinity", "grid_ray")
 def truncation_study(
     family: str,
     depths: list[int],
-    cap: int | None = None,
+    cap: int = DEFAULT_SIZE_CAP,
     eig_tol: float = DEFAULT_EIG_TOL,
 ) -> list[dict]:
     """Finite-truncation series standing in for an infinite graph.
@@ -530,7 +530,7 @@ def truncation_study(
     for depth in depths:
         if family == "grid_ray":
             g, probe = grid_ray_truncation(depth, cap=cap)
-            dist = _single_source(g, probe)
+            dist = single_source(g, probe)
             ball_k = sum(1 for d in dist if d <= depth)
             ball_2k = sum(1 for d in dist if d <= 2 * depth)
             ball_2k1 = sum(1 for d in dist if d <= 2 * depth + 1)
@@ -569,21 +569,6 @@ def truncation_study(
             }
         )
     return records
-
-
-def _single_source(g: Graph, src: int) -> list[int]:
-    from collections import deque
-
-    dist = [-1] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def d_infinity_measure(g: Graph) -> Measure:

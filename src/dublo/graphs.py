@@ -7,7 +7,6 @@ graph is simple and connected, since everything downstream assumes it.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -17,21 +16,6 @@ import numpy as np
 from .errors import ParseError, SizeCapError, ValidationError
 
 DEFAULT_SIZE_CAP = 512
-_ENV_SIZE_CAP = "DUBLO_SIZE_CAP"
-
-
-def size_cap() -> int:
-    """Default vertex cap, overridable through the DUBLO_SIZE_CAP env var."""
-    raw = os.environ.get(_ENV_SIZE_CAP)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{_ENV_SIZE_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise ValidationError(f"{_ENV_SIZE_CAP} must be >= 2, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -62,22 +46,8 @@ class Graph:
         for v, w in seen_edges:
             if (w, v) not in seen_edges:
                 raise ValidationError(f"adjacency not symmetric on ({v},{w})")
-        if not self._connected():
+        if -1 in single_source(self, 0):
             raise ValidationError("graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count == self.n
 
     @property
     def m(self) -> int:
@@ -114,10 +84,9 @@ class Graph:
         n: int,
         edges,
         labels: tuple[str, ...] | None = None,
-        cap: int | None = None,
+        cap: int = DEFAULT_SIZE_CAP,
     ) -> "Graph":
         """Build a graph from an iterable of index pairs, collapsing duplicates."""
-        cap = size_cap() if cap is None else cap
         if n > cap:
             raise SizeCapError(f"graph has {n} vertices, cap is {cap}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -131,7 +100,7 @@ class Graph:
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs), labels)
 
 
-def parse_edge_list(text: str, cap: int | None = None) -> Graph:
+def parse_edge_list(text: str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Parse a whitespace-separated edge list, one ``u v`` pair per line.
 
     ``#`` starts a comment; labels may be arbitrary tokens and are mapped to
@@ -194,7 +163,7 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     return b - 63, 1
 
 
-def parse_graph6(data: bytes | str, cap: int | None = None) -> Graph:
+def parse_graph6(data: bytes | str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Decode one standard graph6 record into a connected Graph."""
     if isinstance(data, str):
         if not data.isascii():
@@ -206,9 +175,8 @@ def parse_graph6(data: bytes | str, cap: int | None = None) -> Graph:
     n, off = _g6_decode_n(data)
     if n < 1:
         raise ValidationError("graph6 record with zero vertices")
-    effective_cap = size_cap() if cap is None else cap
-    if n > effective_cap:
-        raise SizeCapError(f"graph6 record has {n} vertices, cap is {effective_cap}")
+    if n > cap:
+        raise SizeCapError(f"graph6 record has {n} vertices, cap is {cap}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[off:]
@@ -229,7 +197,7 @@ def parse_graph6(data: bytes | str, cap: int | None = None) -> Graph:
             if bits[i]:
                 edges.append((row, col))
             i += 1
-    return Graph.from_edges(n, edges, cap=effective_cap)
+    return Graph.from_edges(n, edges, cap=cap)
 
 
 def write_graph6(g: Graph) -> str:
@@ -266,6 +234,20 @@ class DistanceTable:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+
+def single_source(g: Graph, src: int) -> list[int]:
+    """BFS hop distance from src to every vertex, -1 where it is unreachable."""
+    dist = [-1] * g.n
+    dist[src] = 0
+    queue = [src]
+    for v in queue:  # the loop reads the vertices appended behind it
+        step = dist[v] + 1
+        for w in g.adj[v]:
+            if dist[w] < 0:
+                dist[w] = step
+                queue.append(w)
+    return dist
 
 
 def distances(g: Graph) -> DistanceTable:

@@ -53,7 +53,6 @@ from .doubling import (
 from .errors import SizeCapError, SolverError, ValidationError
 from .graphs import DistanceTable, Graph, distances
 from .spectral import DEFAULT_EIG_TOL, perron
-from .symmetry import orbit_partition
 
 DEFAULT_BISECT_TOL = 1e-9
 LP_SOLVE_CAP = 60
@@ -67,7 +66,7 @@ class FeasibilityProblem:
 
     Variables are per-vertex weights, or per-class weights when ``classes``
     (each vertex's class in an equitable partition, such as
-    ``OrbitPartition.orbit_of``) is supplied; one row per class then suffices,
+    ``_distance_classes``) is supplied; one row per class then suffices,
     because class-constant measures make same-class rows identical.  Rows,
     (k, representative) pairs numbered k-major, are built only when imposed.
     """
@@ -241,16 +240,11 @@ def _highs_binding():
     return sys.modules[name]
 
 
-def feasible(
-    g: Graph,
-    dt: DistanceTable | None = None,
-    t: float = 2.0,
-    classes: Sequence[int] | None = None,
-) -> Measure | None:
+def feasible(g: Graph, dt: DistanceTable | None = None, *, t: float) -> Measure | None:
     """Measure with mu >= 1 and all doubling ratios <= t, or None."""
     if not 1 <= t < math.inf:  # NaN fails this too
         raise ValidationError(f"candidate constant must be finite and >= 1, got {t!r}")
-    return FeasibilityProblem(g, dt, classes).check(t)
+    return FeasibilityProblem(g, dt).check(t)
 
 
 @dataclass(frozen=True)
@@ -283,7 +277,7 @@ class OptimizationResult:
 
     def lemachorra(self) -> dict:
         """The check_lemachorra record, from this run's Perron pass."""
-        return _lemachorra_record(self.lower_bound_spectral, self.perron_report, LEMACHORRA_TOL)
+        return _lemachorra_record(self.lower_bound_spectral, self.perron_report)
 
 
 def least_doubling(
@@ -436,18 +430,19 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
         count = len(first)
 
 
-def check_lemachorra(g: Graph, tol: float = LEMACHORRA_TOL) -> dict:
+def check_lemachorra(g: Graph) -> dict:
     """Compare the Perron measure's full constant against C_G^0.
 
-    Equality (within tol) certifies C_G = C_G^0 without running the optimizer.
+    Equality (within ``LEMACHORRA_TOL``) certifies C_G = C_G^0 without
+    running the optimizer.
     """
     c0, mu0 = _perron_pass(g, DEFAULT_EIG_TOL)
-    return _lemachorra_record(c0, doubling_report(g, distances(g), mu0), tol)
+    return _lemachorra_record(c0, doubling_report(g, distances(g), mu0))
 
 
-def _lemachorra_record(c0: float, perron_report: DoublingReport, tol: float) -> dict:
+def _lemachorra_record(c0: float, perron_report: DoublingReport) -> dict:
     c_full = float(perron_report.c_mu)
-    return {"c0": c0, "c_mu0_full": c_full, "equal": c_full - c0 <= tol}
+    return {"c0": c0, "c_mu0_full": c_full, "equal": c_full - c0 <= LEMACHORRA_TOL}
 
 
 BRUTE_FORCE_VERTEX_CAP = 5
@@ -468,10 +463,11 @@ def brute_force_details(
     """Grid-search oracle: min of C_mu over a simplex grid of measures.
 
     Independent of the LP route: evaluates doubling reports directly on every
-    grid point.  With ``symmetric=True`` the grid runs over orbit-constant
-    measures (symmetrization never increases any restricted constant, so a
-    symmetric minimizer exists); every connected graph on <= 5 vertices has a
-    non-trivial automorphism, keeping the grid at most 4-dimensional.
+    grid point.  With ``symmetric=True`` the grid runs over measures constant
+    on the ``_distance_classes``, an exact reduction (a minimizer constant on
+    them exists); classes are never finer than the Aut(G) orbits, and every
+    connected graph on <= 5 vertices has a non-trivial automorphism, keeping
+    the grid at most 4-dimensional.
     """
     if g.n > BRUTE_FORCE_VERTEX_CAP:
         raise SizeCapError(f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices")
@@ -479,9 +475,9 @@ def brute_force_details(
         raise ValidationError("grid resolution must be >= 2")
     dt = distances(g)
     kmax = max_radius_index(dt.diam)
-    orbit_of = orbit_partition(g).orbit_of if symmetric else tuple(range(g.n))
-    dims = max(orbit_of) + 1  # orbits are numbered 0, 1, ... by first vertex
-    member = np.equal.outer(orbit_of, np.arange(dims)).astype(float)
+    class_of = _distance_classes(dt) if symmetric else tuple(range(g.n))
+    dims = max(class_of) + 1  # classes are numbered 0, 1, ... by first vertex
+    member = np.equal.outer(class_of, np.arange(dims)).astype(float)
     count = [(dt.dist <= r).astype(float) @ member for r in range(2 * kmax + 2)]
 
     w = np.ones((1, 1), dtype=np.int64) if dims == 1 else _grid(grid_resolution, dims)
@@ -500,7 +496,7 @@ def brute_force_details(
             best_val = float(worst[i])
             best_row = w[s + i]
     assert best_row is not None
-    weights = tuple(int(best_row[orbit_of[v]]) for v in range(g.n))
+    weights = tuple(int(best_row[class_of[v]]) for v in range(g.n))
     mu = Measure(weights)
     # distortion allowance: moving each simplex coordinate by up to
     # delta = dims / resolution rescales every ball ratio by at most

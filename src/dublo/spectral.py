@@ -48,7 +48,7 @@ def _start(g: Graph, a: np.ndarray) -> np.ndarray:
     return np.ones(g.n)  # a zero (an underflowed tail) or an overflow: the plain start
 
 
-def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATIONS) -> SpectralResult:
+def perron(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SpectralResult:
     """Spectral radius and Perron eigenvector to a guaranteed tolerance.
 
     Starts from ``_start``'s guess and stops when the Collatz-Wielandt
@@ -57,7 +57,8 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
     <= tol bounds the radius error directly (and is scale-free, which matters
     for graphs whose Perron vector spans many orders of magnitude).  The
     reported residual is the eigen-residual of the max-normalized vector and
-    never exceeds the bracket width.
+    never exceeds the bracket width.  More than ``MAX_ITERATIONS`` steps
+    raise SolverError.
     """
     if not 0 < tol < np.inf:  # NaN fails this too
         raise ValidationError("tolerance must be finite and > 0")
@@ -65,7 +66,7 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
         return SpectralResult(0.0, np.ones(1), 0.0, 0)
     a = g.adjacency_matrix()
     x = _start(g, a)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
             ax = a @ x
             ratios = ax / x
@@ -83,27 +84,29 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL, max_iter: int = MAX_ITERATION
         y = ax + x  # (A + I) x keeps iterates strictly positive
         x = y / y.min()
     raise SolverError(
-        f"power iteration bracket did not reach {tol} in {max_iter} iterations"
+        f"power iteration bracket did not reach {tol} in {MAX_ITERATIONS} iterations"
     )
 
 
-def c0_constant(g: Graph, tol: float = DEFAULT_EIG_TOL) -> float:
+def c0_constant(g: Graph) -> float:
     """Restricted doubling constant at radius 0: 1 + spectral radius."""
-    return 1.0 + perron(g, tol).radius
+    return 1.0 + perron(g).radius
 
 
-def perron_measure(g: Graph, tol: float = DEFAULT_EIG_TOL) -> Measure:
+def perron_measure(g: Graph) -> Measure:
     """Measure given by the Perron eigenvector; flattens all B(v,1)/mu(v) ratios."""
-    return Measure(tuple(float(w) for w in perron(g, tol).eigvec))
+    return Measure(tuple(float(w) for w in perron(g).eigvec))
 
 
 CHROMATIC_SIZE_CAP = 64
 
 
-def chromatic_number(g: Graph, cap: int = CHROMATIC_SIZE_CAP) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by saturation-ordered backtracking."""
-    if g.n > cap:
-        raise SizeCapError(f"chromatic_number capped at {cap} vertices, got {g.n}")
+    if g.n > CHROMATIC_SIZE_CAP:
+        raise SizeCapError(
+            f"chromatic_number capped at {CHROMATIC_SIZE_CAP} vertices, got {g.n}"
+        )
     if g.n == 1:
         return 1
     if g.m == 0:

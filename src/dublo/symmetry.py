@@ -10,7 +10,7 @@ order, the closure of every automorphism found gives the orbits of Aut(G),
 and the first level decides vertex transitivity.  This handles e.g. the
 Hoffman-Singleton graph (order 252000) without listing the group.  Nothing on
 the compute path calls this module; it is the independent reference for
-Aut(G) behind the brute-force oracle and the tests.
+Aut(G) behind the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .doubling import Measure
 from .errors import SizeCapError, ValidationError
-from .graphs import DistanceTable, Graph, distances
+from .graphs import Graph, distances
 
 AUT_VERTEX_CAP = 256
 DEFAULT_GROUP_LIMIT = 100_000
@@ -31,11 +31,11 @@ Perm = tuple[int, ...]
 class _AutSearch:
     """Backtracking over distance-preserving vertex bijections."""
 
-    def __init__(self, g: Graph, dt: DistanceTable | None = None):
+    def __init__(self, g: Graph):
         if g.n > AUT_VERTEX_CAP:
             raise SizeCapError(f"automorphism search capped at {AUT_VERTEX_CAP} vertices")
         self.n = g.n
-        self.dist = (dt or distances(g)).dist
+        self.dist = distances(g).dist
         profiles = [tuple(sorted(self.dist[v].tolist())) for v in range(self.n)]
         classes: dict[tuple, list[int]] = {}
         for v, p in enumerate(profiles):
@@ -90,18 +90,20 @@ class _AutSearch:
         return backtrack(0)
 
 
-def automorphisms(g: Graph, limit: int = DEFAULT_GROUP_LIMIT) -> list[Perm]:
+def automorphisms(g: Graph) -> list[Perm]:
     """The complete automorphism group as explicit permutation tuples.
 
     Deterministic order; the identity is always present.  Raises SizeCapError
-    when the group would exceed ``limit`` elements (use orbit_partition for
-    such graphs, it never materializes the group).
+    when the group would exceed ``DEFAULT_GROUP_LIMIT`` elements (use
+    orbit_partition for such graphs, it never materializes the group).
     """
     perms: list[Perm] = []
     for perm in _AutSearch(g).extensions({}):
         perms.append(perm)
-        if len(perms) > limit:
-            raise SizeCapError(f"automorphism group exceeds listing limit {limit}")
+        if len(perms) > DEFAULT_GROUP_LIMIT:
+            raise SizeCapError(
+                f"automorphism group exceeds listing limit {DEFAULT_GROUP_LIMIT}"
+            )
     perms.sort()
     return perms
 

@@ -149,7 +149,7 @@ def test_criterion_06_path_threshold():
     ok = True
     gaps = {}
     for n in range(2, 13):
-        rec = check_lemachorra(generate(FamilySpec("path", n=n)), tol=1e-7)
+        rec = check_lemachorra(generate(FamilySpec("path", n=n)))
         gap = rec["c_mu0_full"] - rec["c0"]
         gaps[n] = gap
         ok = ok and ((gap <= 1e-7) if n <= 8 else (gap > 1e-4))
@@ -287,7 +287,7 @@ def test_criterion_10_truncation_studies():
     ok = all(b > a for a, b in zip(c0s, c0s[1:]))
     ok = ok and c0s[-1] > 2.99 and all(c <= 3 + 1e-9 for c in c0s)
 
-    records = truncation_study("grid_ray", [2, 8])
+    records = truncation_study("grid_ray", [2, 8], cap=2000)  # depth 8 has 1326 vertices
     r2, r8 = records
     # frozen BFS counts: 32/5 at k=2, 206/17 at k=8 for the (2k+1, k) pair
     ok = ok and r2["counting_ratio"] == Fraction(32, 5)

@@ -162,7 +162,9 @@ def test_smith_values():
 def test_smith_table_has_one_home():
     from dublo import classifier, families
 
-    assert classifier.smith_c0_table is families.smith_c0_table is smith_c0_table
+    # the facade takes it from families; no other module re-exports it
+    assert smith_c0_table is families.smith_c0_table
+    assert "smith_c0_table" not in vars(classifier)
 
 
 def test_smith_unsupported():

@@ -188,6 +188,17 @@ def test_truncate_honours_the_size_cap(capsys, monkeypatch):
     assert json.loads(out)["records"][0]["n"] == 1326
 
 
+def test_size_cap_env(capsys, monkeypatch):
+    # the CLI reads DUBLO_SIZE_CAP below the flag and the config file
+    import io
+
+    monkeypatch.setenv("DUBLO_SIZE_CAP", "3")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 3\n"))
+    code, out, err = run_cli(capsys, "compute", "--input", "-")
+    assert code == EXIT_VALIDATION and out == ""
+    assert "cap is 3" in err
+
+
 def test_verify_only_three_legs(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "three_legs")
     assert code == EXIT_OK

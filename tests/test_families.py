@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dublo import (
+    SizeCapError,
     ValidationError,
     c0_constant,
     distances,
@@ -273,7 +274,7 @@ def test_truncation_d_infinity_measure_exactly_3():
 
 def test_grid_ray_counts_match_closed_form():
     # |B((0,0,k),k)| = 2k+1;  |B((0,0,k),2k+1)| = 2k^2+9k+6 (ball counts by BFS)
-    records = truncation_study("grid_ray", [2, 4, 8])
+    records = truncation_study("grid_ray", [2, 4, 8], cap=2000)
     for r in records:
         k = r["depth"]
         assert r["probe_ball_k"] == 2 * k + 1
@@ -282,11 +283,21 @@ def test_grid_ray_counts_match_closed_form():
 
 
 def test_grid_ray_ratio_growth():
-    records = truncation_study("grid_ray", [2, 8])
+    records = truncation_study("grid_ray", [2, 8], cap=2000)
     r2, r8 = records
     assert r8["counting_ratio"] > r2["counting_ratio"]
     # the doubling-definition ratio B(2k)/B(k) more than doubles from k=2 to 8
     assert r8["counting_ratio_2r"] >= 2 * r2["counting_ratio_2r"]
+
+
+def test_grid_ray_library_calls_take_the_default_cap():
+    # depth 8 has 1326 vertices, over the 512 every other library graph build caps at
+    with pytest.raises(SizeCapError, match="1326 vertices, cap is 512"):
+        generate(FamilySpec("grid_ray_truncation", depth=8))
+    with pytest.raises(SizeCapError, match="cap is 512"):
+        truncation_study("grid_ray", [8])
+    assert generate(FamilySpec("grid_ray_truncation", depth=8), cap=2000).n == 1326
+    assert truncation_study("grid_ray", [8], cap=2000)[0]["n"] == 1326
 
 
 def test_grid_ray_probe_is_on_ray():

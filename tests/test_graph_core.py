@@ -79,10 +79,12 @@ def test_size_cap():
     assert g.n == 600
 
 
-def test_size_cap_env(monkeypatch):
+def test_library_ignores_the_size_cap_env(monkeypatch):
+    # DUBLO_SIZE_CAP is a CLI setting; library calls take their cap argument only
     monkeypatch.setenv("DUBLO_SIZE_CAP", "3")
-    with pytest.raises(SizeCapError):
-        parse_edge_list("0 1\n1 2\n2 3")
+    assert parse_edge_list("0 1\n1 2\n2 3").n == 4
+    with pytest.raises(SizeCapError, match="cap is 3"):
+        parse_edge_list("0 1\n1 2\n2 3", cap=3)
 
 
 # ---------------------------------------------------------------- graph6

@@ -120,6 +120,40 @@ def test_eager_scipy_finder_sees_every_form():
     assert eager_scipy_imports(source) == [1, 2, 3, 5]
 
 
+def environment_reads(source: str) -> list[int]:
+    """Lines that name ``os.environ`` or ``os.getenv``, as an attribute or an import."""
+    names = ("environ", "getenv")
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in names for alias in node.names)
+        )
+    )
+
+
+def test_only_the_cli_reads_the_environment():
+    # DUBLO_SIZE_CAP is a CLI setting; library functions take every setting as an argument
+    reads = {path.stem: environment_reads(path.read_text()) for path in SRC.glob("*.py")}
+    assert {module: lines for module, lines in reads.items() if lines and module != "cli"} == {}
+
+
+def test_environment_finder_sees_every_form():
+    source = (
+        "import os\nos.environ.get('A')\nfrom os import getenv\nx = os.getenv('B')\n"
+        "from os import path, environ as env\nos.path.join('a')\nos.cpu_count()\n"
+    )
+    assert environment_reads(source) == [2, 3, 4, 5]
+
+
 def modules_after_compute(
     family: str, modules: tuple[str, ...] = ("scipy.optimize", "scipy.optimize._highspy._core")
 ) -> list[str]:

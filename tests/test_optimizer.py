@@ -26,6 +26,7 @@ from dublo import (
     generate,
     is_vertex_transitive,
     least_doubling,
+    orbit_partition,
     perron_measure,
     poly_largest_root,
 )
@@ -762,6 +763,15 @@ def test_brute_force_symmetric_matches_raw():
         sym = brute_force_details(g, 60, symmetric=True)
         raw = brute_force_details(g, 60, symmetric=False)
         assert abs(sym.c_g - raw.c_g) <= sym.grid_error + raw.grid_error
+
+
+def test_oracle_classes_are_the_orbits_up_to_five_vertices():
+    # the symmetric oracle groups by distance classes; on these 31 graphs they
+    # are the Aut(G) orbits, numbered alike, so its grids are the orbit grids
+    graphs = [g for n in range(1, 6) for g in connected_graphs_exactly(n)]
+    assert len(graphs) == 31
+    for g in graphs:
+        assert optimizer._distance_classes(distances(g)) == orbit_partition(g).orbit_of, g.edges()
 
 
 def test_oracle_agreement_small():

@@ -59,13 +59,14 @@ def test_perron_positive_eigvec_and_residual():
         assert 0 < res.radius <= max(g.degrees)
 
 
-def test_perron_nonconvergence_raises():
-    from dublo import SolverError
+def test_perron_nonconvergence_raises(monkeypatch):
+    from dublo import SolverError, spectral
 
     # LAPACK's top eigenvector has exact zeros in this tail, so the loop starts
     # from all-ones, which needs 124 steps; no start closes it in 5
-    with pytest.raises(SolverError, match="did not reach"):
-        perron(hub_tail(50), tol=1e-13, max_iter=5)
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 5)
+    with pytest.raises(SolverError, match="did not reach .* in 5 iterations"):
+        perron(hub_tail(50), tol=1e-13)
 
 
 def test_perron_rejects_a_nan_tolerance_before_iterating(monkeypatch):

@@ -68,9 +68,12 @@ def test_permutations_preserve_adjacency_and_balls():
             assert image == ball(dt, perm[v], k)
 
 
-def test_group_listing_limit():
-    with pytest.raises(SizeCapError):
-        automorphisms(generate(FamilySpec("complete", n=9)), limit=1000)
+def test_group_listing_limit(monkeypatch):
+    from dublo import symmetry
+
+    monkeypatch.setattr(symmetry, "DEFAULT_GROUP_LIMIT", 1000)
+    with pytest.raises(SizeCapError, match="limit 1000"):
+        automorphisms(generate(FamilySpec("complete", n=9)))
 
 
 def test_orbits_star():

@@ -52,15 +52,22 @@ def distance_classes_by_rows(dist: np.ndarray) -> tuple[int, ...]:
 def row_tables(dist: np.ndarray, diam: int, classes) -> tuple[np.ndarray, np.ndarray]:
     """Reference (den, num) class-split counts of every k-major reduced LP row.
 
-    Built as full tables by one class-split ``_ball_masses`` pass over the
-    classes' first vertices, the way ``FeasibilityProblem`` once stored them.
+    Row (k, i) counts, per class, the vertices within k (den) and 2k + 1 (num)
+    of the i-th class's first vertex, one ``np.bincount`` per row.
     """
-    from dublo.doubling import _ball_masses
-
     classes = np.asarray(classes)
     _, first = np.unique(classes, return_index=True)
-    count = _ball_masses(dist[first], np.ones(len(classes), dtype=np.int64), diam, classes)
-    return tuple(c.transpose(1, 0, 2).reshape(-1, len(first)) for c in np.split(count, 2, axis=1))
+    return tuple(
+        np.array(
+            [
+                np.bincount(classes[dist[rep] <= radius(k)], minlength=len(first))
+                for k in range(diam // 2 + 1)
+                for rep in first
+            ],
+            dtype=np.int64,
+        )
+        for radius in (lambda k: k, lambda k: 2 * k + 1)
+    )
 
 
 def random_tree(rand: random.Random, n: int) -> Graph:
