@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SolverError
+from .families import FamilySpec, expected_constant
 from .graphs import Graph, structural_facts
 from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 
@@ -135,7 +136,8 @@ def classify_leq3(
         elif legs == [1, 2, 4]:
             verdict = "gt3"
             reasons.append(
-                "E8 tree: spectral radius below 2 but C >= 3.0205833 "
+                "E8 tree: spectral radius below 2 but "
+                f"C >= {expected_constant(FamilySpec('e8')).c_g:.7f} "
                 "(largest root of its ratio polynomial)"
             )
         elif legs in ([2, 2, 2], [1, 3, 3], [1, 2, 5]):

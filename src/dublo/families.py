@@ -538,7 +538,7 @@ def truncation_study(
                 {
                     "depth": depth,
                     "n": g.n,
-                    "c0": 1 + perron(g, tol=max(eig_tol, 1e-9)).radius,
+                    "c0": 1 + perron(g, tol=eig_tol).radius,
                     "probe_ball_k": ball_k,
                     "probe_ball_2k": ball_2k,
                     "probe_ball_2k1": ball_2k1,
@@ -557,8 +557,7 @@ def truncation_study(
             if depth < 4:
                 raise ValidationError("d_infinity depths must be >= 4")
             g = generate(FamilySpec("d_n", n=depth), cap=cap)
-        dt = distances(g)
-        report = doubling_report(g, dt, counting_measure(g))
+        report = doubling_report(g, distances(g), counting_measure(g))
         records.append(
             {
                 "depth": depth,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -70,6 +71,25 @@ class Graph:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
+
+    @cached_property
+    def _distance_table(self) -> DistanceTable:
+        """BFS from every vertex, on first use only; ``distances`` is its one reader."""
+        n = self.n
+        dist = np.full((n, n), -1, dtype=np.int32)
+        for s in range(n):
+            row = dist[s]
+            row[s] = 0
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                dv = row[v]
+                for w in self.adj[v]:
+                    if row[w] < 0:
+                        row[w] = dv + 1
+                        queue.append(w)
+        dist.setflags(write=False)
+        return DistanceTable(dist, int(dist.max()))
 
     def adjacency_matrix(self) -> np.ndarray:
         degrees = np.fromiter(map(len, self.adj), dtype=np.intp, count=self.n)
@@ -251,22 +271,8 @@ def single_source(g: Graph, src: int) -> list[int]:
 
 
 def distances(g: Graph) -> DistanceTable:
-    """BFS from every vertex; exact hop distances on a connected graph."""
-    n = g.n
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = row[v]
-            for w in g.adj[v]:
-                if row[w] < 0:
-                    row[w] = dv + 1
-                    queue.append(w)
-    dist.setflags(write=False)
-    return DistanceTable(dist, int(dist.max()))
+    """Exact hop distances of g, from the one table kept on g and freed with it."""
+    return g._distance_table
 
 
 def ball(dt: DistanceTable, v: int, r: int) -> frozenset[int]:

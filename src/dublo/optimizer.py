@@ -71,14 +71,9 @@ class FeasibilityProblem:
     (k, representative) pairs numbered k-major, are built only when imposed.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        dt: DistanceTable | None = None,
-        classes: Sequence[int] | None = None,
-    ):
+    def __init__(self, g: Graph, classes: Sequence[int] | None = None):
         self.g = g
-        self.dt = dt or distances(g)
+        self.dt = distances(g)
         self.k_max = max_radius_index(self.dt.diam)
         self._expand_map = np.arange(g.n) if classes is None else np.asarray(classes)
         _, first, sizes = np.unique(self._expand_map, return_index=True, return_counts=True)
@@ -240,11 +235,11 @@ def _highs_binding():
     return sys.modules[name]
 
 
-def feasible(g: Graph, dt: DistanceTable | None = None, *, t: float) -> Measure | None:
+def feasible(g: Graph, *, t: float) -> Measure | None:
     """Measure with mu >= 1 and all doubling ratios <= t, or None."""
     if not 1 <= t < math.inf:  # NaN fails this too
         raise ValidationError(f"candidate constant must be finite and >= 1, got {t!r}")
-    return FeasibilityProblem(g, dt).check(t)
+    return FeasibilityProblem(g).check(t)
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,6 @@ def least_doubling(
     certificate: bool = False,
     orbit_reduction: bool = True,
     eig_tol: float = DEFAULT_EIG_TOL,
-    dt: DistanceTable | None = None,
 ) -> OptimizationResult:
     """Compute C_G with a bracketing interval of width <= tol.
 
@@ -304,7 +298,7 @@ def least_doubling(
     """
     if not 0 < tol < math.inf:  # NaN fails this too
         raise ValidationError("tolerance must be finite and > 0")
-    dt = dt or distances(g)
+    dt = distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
     class_count = max(classes) + 1
     c0, mu0 = _perron_pass(g, eig_tol)
@@ -330,7 +324,7 @@ def least_doubling(
     t_lo = c0 if c_g_exact is None else float(c_g_exact)
     t_hi = max(float(minimizer_report.c_mu), t_lo)
     if t_hi - t_lo > tol:
-        problem = FeasibilityProblem(g, dt, classes)
+        problem = FeasibilityProblem(g, classes)
         x = problem.reduce(best_mu)
         den_x, num_x = problem.row_masses(best)
         batch = max(problem.n_vars, 8)

@@ -241,7 +241,7 @@ def test_criterion_09_property_suites():
     # feasibility is monotone in t, 500 cases
     for _ in range(500):
         g = random_connected_graph(rand, rand.randint(2, 6))
-        problem = FeasibilityProblem(g, distances(g))
+        problem = FeasibilityProblem(g)
         t = rand.uniform(1.6, 4.5)
         if problem.check(t) is not None:
             ok = ok and problem.check(t + rand.uniform(0.05, 1.5)) is not None

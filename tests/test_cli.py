@@ -1,11 +1,12 @@
 """CLI subcommands: outputs, exit codes, determinism, batch parallelism."""
 
 import json
+import sys
 from dataclasses import fields
 
 import pytest
 
-from dublo import write_graph6
+from dublo import graphs, write_graph6
 from dublo.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RunConfig, main
 
 from util import connected_graphs_exactly
@@ -85,6 +86,34 @@ def test_compute_with_measure_file(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["measure_report"]["c_mu"] == "3/1"
+
+
+def test_each_graph_gets_one_distance_table(tmp_path, capsys, monkeypatch):
+    # distances is wrapped wherever the package binds it; each table it hands
+    # out is kept, so a table built twice shows as two distinct objects
+    handed = []
+    original = graphs.distances
+
+    def handing(g):
+        handed.append(original(g))
+        return handed[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dublo" and getattr(module, "distances", None) is original:
+            monkeypatch.setattr(module, "distances", handing)
+    mfile = tmp_path / "mu.txt"
+    mfile.write_text("".join(f"{v} 1\n" for v in range(27)))
+    records = tmp_path / "three.g6"
+    records.write_text("".join(write_graph6(g) + "\n" for g in connected_graphs_exactly(4)[:3]))
+    runs = [
+        (("compute", "--family", "doyle", "--measure", str(mfile)), 1),
+        (("batch", "--input", str(records)), 3),
+        (("verify", "--only", "doyle"), 1),
+    ]
+    for argv, tables in runs:
+        handed.clear()
+        assert run_cli(capsys, *argv)[0] == EXIT_OK, argv
+        assert len({id(table) for table in handed}) == tables, argv
 
 
 def test_compute_certificate_doyle(capsys):

@@ -1,6 +1,8 @@
 """Graph construction, parsing, distances, balls, structural facts."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +21,15 @@ from dublo import (
     structural_facts,
     write_graph6,
 )
-from dublo.families import FamilySpec
+from dublo.families import FamilySpec, catalog
 
-from util import g6_encode_oracle, random_connected_graph
+from util import (
+    connected_graphs_exactly,
+    floyd_warshall,
+    g6_encode_oracle,
+    hub_tail,
+    random_connected_graph,
+)
 
 
 def test_parse_single_edge():
@@ -187,6 +195,33 @@ def test_distance_table_axioms_random():
         # triangle inequality
         for u in range(g.n):
             assert (d <= d[:, [u]] + d[u][None, :]).all()
+
+
+def test_distances_match_floyd_warshall():
+    rand = random.Random(2024)
+    cases = [g for _, g in catalog()]
+    cases += [g for n in range(1, 6) for g in connected_graphs_exactly(n)]
+    cases += [
+        random_connected_graph(rand, rand.randint(2, 40), extra=rand.choice((0.0, 0.05, 0.3)))
+        for _ in range(40)
+    ]
+    cases += [hub_tail(leaves) for leaves in (1, 2, 7, 30)]
+    for g in cases:
+        dt = distances(g)
+        want = floyd_warshall(g)
+        assert dt.dist.dtype == np.int32 and np.array_equal(dt.dist, want), g.edges()
+        assert dt.diam == want.max()
+
+
+def test_distances_keeps_one_table_per_graph_and_frees_it_with_the_graph():
+    g = generate(FamilySpec("petersen"))
+    assert distances(g) is distances(g)
+    twin = generate(FamilySpec("petersen"))  # equal, but another object: its own table
+    assert twin == g and distances(twin) is not distances(g)
+    table = weakref.ref(distances(g))
+    del g
+    gc.collect()
+    assert table() is None
 
 
 # ---------------------------------------------------------------- balls

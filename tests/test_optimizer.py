@@ -1,5 +1,6 @@
 """Feasibility oracle, the CFS iteration, certificates, brute force, polynomial roots."""
 
+import inspect
 import math
 import random
 import sys
@@ -50,20 +51,20 @@ THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
 
 def test_feasible_k2_at_2():
     g = generate(FamilySpec("complete", n=2))
-    mu = feasible(g, distances(g), t=2.0)
+    mu = feasible(g, t=2.0)
     assert mu is not None
     assert min(mu.weights) == pytest.approx(1.0)
 
 
 def test_feasible_c6_below_3_rejected():
     g = generate(FamilySpec("cycle", n=6))
-    assert feasible(g, distances(g), t=2.9) is None
+    assert feasible(g, t=2.9) is None
 
 
 def test_feasible_c6_at_3_uniform():
     g = generate(FamilySpec("cycle", n=6))
     dt = distances(g)
-    mu = feasible(g, dt, t=3.0)
+    mu = feasible(g, t=3.0)
     assert mu is not None
     report = doubling_report(g, dt, mu)
     assert float(report.c_mu) <= 3.0 + 1e-9
@@ -72,17 +73,24 @@ def test_feasible_c6_at_3_uniform():
     assert uniform.c_mu == Fraction(3)
 
 
+def test_no_entry_point_takes_a_distance_table():
+    # the table is always the graph's own, from distances(g)
+    for fn in (least_doubling, FeasibilityProblem, feasible):
+        assert "dt" not in inspect.signature(fn).parameters, fn
+    assert inspect.signature(feasible).parameters["t"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
 def test_feasible_rejects_t_below_1():
     g = generate(FamilySpec("complete", n=2))
     with pytest.raises(ValidationError):
-        feasible(g, distances(g), t=0.5)
+        feasible(g, t=0.5)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_is_rejected(t):
     g = generate(FamilySpec("three_legs"))
     with pytest.raises(ValidationError, match="finite"):
-        feasible(g, distances(g), t=t)
+        feasible(g, t=t)
     with pytest.raises(ValidationError, match="finite"):
         FeasibilityProblem(g).check(t)
 
@@ -268,7 +276,7 @@ def test_rows_match_the_full_table_reference():
         for h in (g, relabel(g, rand)):
             dt = distances(h)
             for classes in (optimizer._distance_classes(dt), tuple(range(h.n))):
-                problem = FeasibilityProblem(h, dt, classes)
+                problem = FeasibilityProblem(h, classes)
                 want = row_tables(dt.dist, dt.diam, classes)
                 got = problem.rows(np.arange(problem.reduced_rows))
                 for a, b in zip(got, want):
@@ -281,7 +289,7 @@ def test_row_masses_are_the_reference_rows_times_the_reduced_weights():
         g = random_connected_graph(rand, rand.randint(5, 20), extra=0.1)
         dt = distances(g)
         classes = optimizer._distance_classes(dt)
-        problem = FeasibilityProblem(g, dt, classes)
+        problem = FeasibilityProblem(g, classes)
         mu = perron_measure(g)
         x = np.array([mu[v] for v in problem.reps])
         got = problem.row_masses(_masses_and_report(g, dt, mu)[0])
@@ -291,7 +299,7 @@ def test_row_masses_are_the_reference_rows_times_the_reduced_weights():
 
 def test_feasibility_problem_constraint_count():
     g = generate(FamilySpec("three_legs"))
-    problem = FeasibilityProblem(g, distances(g))
+    problem = FeasibilityProblem(g)
     assert problem.constraint_count == 7 * 3
     assert problem.k_max == 2
     assert problem.reduced_rows == 7 * 3
@@ -301,7 +309,7 @@ def test_feasibility_problem_orbit_reduction_rows():
     from dublo import orbit_partition
 
     g = generate(FamilySpec("three_legs"))
-    problem = FeasibilityProblem(g, distances(g), orbit_partition(g).orbit_of)
+    problem = FeasibilityProblem(g, orbit_partition(g).orbit_of)
     assert problem.n_vars == 3
     assert problem.reduced_rows == 3 * 3
     assert problem.constraint_count == 7 * 3  # full count unchanged
@@ -313,8 +321,7 @@ def test_monotone_feasibility_random():
     rand = random.Random(42)
     for _ in range(30):
         g = random_connected_graph(rand, rand.randint(2, 7))
-        dt = distances(g)
-        problem = FeasibilityProblem(g, dt)
+        problem = FeasibilityProblem(g)
         t = rand.uniform(1.5, 5.0)
         t2 = t + rand.uniform(0.01, 2.0)
         if problem.check(t) is not None:
@@ -325,7 +332,7 @@ def test_row_subset_answer_is_not_full_feasibility():
     # the radius-0 rows alone only ask A mu <= (t - 1) mu, feasible from C0 = 3,
     # while C_G = 3.0861; check answers for the rows it is given
     g = generate(FamilySpec("three_legs"))
-    problem = FeasibilityProblem(g, distances(g))
+    problem = FeasibilityProblem(g)
     radius0 = np.arange(problem.n_vars)
     mu = problem.check(3.05, radius0)
     assert mu is not None and len(mu) == 7
@@ -397,11 +404,10 @@ def test_bracket_low_end_is_infeasible_or_spectral():
     graphs = [generate(FamilySpec(name)) for name in ("three_legs", "e8")]
     graphs += [generate(FamilySpec("cycle", n=7)), generate(FamilySpec("path", n=40)), hub_tail(8)]
     for i, g in enumerate(graphs):
-        dt = distances(g)
         res = least_doubling(g)
         t_lo = res.bracket[0]
         if abs(t_lo - res.lower_bound_spectral) > 1e-12:
-            assert FeasibilityProblem(g, dt).check(t_lo) is None, i
+            assert FeasibilityProblem(g).check(t_lo) is None, i
 
 
 def test_sandwich_invariant():
@@ -422,7 +428,7 @@ def test_bracket_is_at_most_tol_wide_in_floats(tol):
     graphs = [random_connected_graph(rand, rand.randint(5, 14), extra=0.15) for _ in range(12)]
     for g in graphs + [generate(FamilySpec("three_legs")), hub_tail(6)]:
         dt = distances(g)
-        res = least_doubling(g, tol, dt=dt)
+        res = least_doubling(g, tol)
         lo, hi = res.bracket
         assert hi - lo <= tol
         assert lo >= res.lower_bound_spectral
@@ -550,7 +556,7 @@ def test_exact_simplex_sharp_at_d_hat_boundary():
     # C = 3 exactly here, so rational feasibility flips exactly at t = 3
     for n in (5, 6, 9):
         g = generate(FamilySpec("d_hat_n", n=n))
-        problem = FeasibilityProblem(g, distances(g))
+        problem = FeasibilityProblem(g)
         at_3 = problem.check_exact(Fraction(3))
         assert at_3 is not None
         mu, slacks = at_3
@@ -561,7 +567,7 @@ def test_exact_simplex_sharp_at_d_hat_boundary():
 
 def test_exact_simplex_cycle_boundary():
     g = generate(FamilySpec("cycle", n=8))
-    problem = FeasibilityProblem(g, distances(g))
+    problem = FeasibilityProblem(g)
     assert problem.check_exact(Fraction(3)) is not None
     assert problem.check_exact(Fraction(29999, 10000)) is None
 
@@ -570,9 +576,8 @@ def test_exact_and_float_routes_agree_off_boundary():
     rand = random.Random(60042)
     for _ in range(20):
         g = random_connected_graph(rand, rand.randint(2, 6))
-        dt = distances(g)
         c = least_doubling(g).c_g
-        problem = FeasibilityProblem(g, dt)
+        problem = FeasibilityProblem(g)
         above = Fraction(c + 0.01).limit_denominator(10**6)
         exact = problem.check_exact(above)
         assert exact is not None
@@ -701,9 +706,9 @@ def test_max_ratio_is_the_report_constant():
     for _ in range(10):
         g = random_connected_graph(rand, rand.randint(3, 12))
         dt = distances(g)
-        res = least_doubling(g, dt=dt)
+        res = least_doubling(g)
         den, num = row_tables(dt.dist, dt.diam, res.classes)
-        weights = np.array([res.minimizer[v] for v in FeasibilityProblem(g, dt, res.classes).reps])
+        weights = np.array([res.minimizer[v] for v in FeasibilityProblem(g, res.classes).reps])
         assert ((num @ weights) / (den @ weights)).max() == pytest.approx(
             float(doubling_report(g, dt, res.minimizer).c_mu), rel=1e-13
         )

@@ -70,6 +70,17 @@ def row_tables(dist: np.ndarray, diam: int, classes) -> tuple[np.ndarray, np.nda
     )
 
 
+def floyd_warshall(g: Graph) -> np.ndarray:
+    """Reference all-pairs hop distances, int32: Floyd-Warshall in numpy, no BFS."""
+    d = np.full((g.n, g.n), np.inf)
+    for u, v in g.edges():
+        d[u, v] = d[v, u] = 1.0
+    np.fill_diagonal(d, 0.0)
+    for k in range(g.n):
+        np.minimum(d, d[:, [k]] + d[[k], :], out=d)
+    return d.astype(np.int32)
+
+
 def random_tree(rand: random.Random, n: int) -> Graph:
     return random_connected_graph(rand, n, extra=0.0)
 
