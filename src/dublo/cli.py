@@ -219,7 +219,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         }
     if args.measure:
         mu = load_measure_text(_read_input(args.measure), g)
-        rep = doubling_report(g, dt, mu)
+        rep = doubling_report(g, mu=mu)
         payload["measure_report"] = {
             "c_mu": rep.c_mu,
             "per_k": [[p.k, p.value, p.witness] for p in rep.per_k],
@@ -244,12 +244,12 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         "schema": SCHEMA,
         "n": g.n,
         "radius": res.radius,
-        "c0": 1.0 + res.radius,
+        "c0": res.c0,
         "residual": res.residual,
         "iterations": res.iterations,
         "eigvec_min1": [float(x) for x in res.eigvec],
     }
-    emit(payload, config, text_lines=[f"radius = {res.radius:.12g}", f"c0 = {1 + res.radius:.12g}"])
+    emit(payload, config, text_lines=[f"radius = {res.radius:.12g}", f"c0 = {res.c0:.12g}"])
     return EXIT_OK
 
 
@@ -357,7 +357,7 @@ def _verify_rows(config: RunConfig, only: str | None):
         expected = families.expected_constant(spec)
         g = family(spec)
         res = run(g, certificate=True)
-        counting = doubling_report(g, distances(g), counting_measure(g))
+        counting = doubling_report(g, mu=counting_measure(g))
         ok = (
             res.c_g_exact == expected.c_g_exact
             and counting.c_mu == expected.c_g_exact
@@ -385,7 +385,7 @@ def _verify_rows(config: RunConfig, only: str | None):
         specs += [FamilySpec(fam) for fam in ("e6", "e7", "e8", "e6_hat", "e7_hat", "e8_hat")]
         worst = 0.0
         for spec in specs:
-            c0 = 1 + spectral.perron(family(spec), tol=config.tolerance_eig).radius
+            c0 = spectral.perron(family(spec), tol=config.tolerance_eig).c0
             worst = max(worst, abs(c0 - families.smith_c0_table(spec)))
         return worst, 0.0, 1e-9, worst <= 1e-9
 
@@ -611,7 +611,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SizeCapError, ValidationError) as exc:
+    except SizeCapError as exc:
+        print(f"cap reached: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graphs import DistanceTable, Graph
+from .graphs import DistanceTable, Graph, distances
 
 Weight = float | int | Fraction
 
@@ -99,30 +99,27 @@ class DoublingReport:
         return isinstance(self.c_mu, Rational)
 
 
-def restricted_constant(
-    g: Graph, dt: DistanceTable, mu: Measure, k: int
-) -> tuple[Weight, int]:
+def restricted_constant(g: Graph, mu: Measure, k: int) -> tuple[Weight, int]:
     """max over centers v of mu(B(v, 2k+1)) / mu(B(v, k)), with its witness.
 
     Ties go to the smallest vertex index.  Exact measures give exact ratios.
     """
-    kmax = max_radius_index(dt.diam)
-    if not 0 <= k <= kmax:
-        raise ValidationError(f"radius index {k} outside 0..{kmax}")
-    return tuple(doubling_report(g, dt, mu).per_k[k][1:])
+    report = doubling_report(g, mu=mu)
+    if not 0 <= k <= report.k_max:
+        raise ValidationError(f"radius index {k} outside 0..{report.k_max}")
+    return tuple(report.per_k[k][1:])
 
 
-def doubling_report(g: Graph, dt: DistanceTable, mu: Measure) -> DoublingReport:
+# mu is keyword-only: perfbench/tracer.py reads it as args[2] when given, else kwargs["mu"]
+def doubling_report(g: Graph, *, mu: Measure) -> DoublingReport:
     """Evaluate every restricted constant; C_mu is their maximum."""
-    return _masses_and_report(g, dt, mu)[1]
+    return _masses_and_report(g, distances(g), mu)[1]
 
 
 def _masses_and_report(
     g: Graph, dt: DistanceTable, mu: Measure
 ) -> tuple[np.ndarray, DoublingReport]:
     """A measure's ``_ball_masses`` table around every vertex, and the report read from it."""
-    if len(mu) != g.n:
-        raise ValidationError(f"measure has {len(mu)} weights for a {g.n}-vertex graph")
     weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
     masses = _ball_masses(dt.dist, weights, dt.diam)
     per_k = tuple(PerRadius(k, *top) for k, top in enumerate(_max_ratios(masses)))
@@ -148,6 +145,8 @@ def _ball_masses(dist: np.ndarray, weights: np.ndarray, diam: int) -> np.ndarray
     mass[i, r] = mu(B(c_i, r)), and the doubling radii are read from it (2k+1
     capped at diam, where balls saturate).  The dtype is the weights'.
     """
+    if len(weights) != len(dist):
+        raise ValidationError(f"measure has {len(weights)} weights for a {len(dist)}-vertex graph")
     buckets = np.zeros((dist.shape[0], diam + 1), dtype=weights.dtype)
     np.add.at(buckets, (np.arange(dist.shape[0])[:, None], dist), weights)
     np.cumsum(buckets, axis=1, out=buckets)
@@ -178,13 +177,14 @@ def _max_ratios(masses: np.ndarray) -> list[tuple[Weight, int]]:
 
 
 def exact_slacks(
-    dt: DistanceTable, mu: Measure, t: Fraction | None = None
+    g: Graph, mu: Measure, t: Fraction | None = None
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact t mu(B(v, k)) - mu(B(v, 2k+1)) for every (k, v) row, k-major, and t.
 
     ``mu`` must be exact.  Without ``t`` it is the measure's own C_mu, read
     from the same integer table, so the least slack is then exactly 0.
     """
+    dt = distances(g)
     ints, scale = _scaled_integers(mu.weights)
     masses = _ball_masses(dt.dist, ints, dt.diam)
     if t is None:

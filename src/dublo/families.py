@@ -34,7 +34,7 @@ import numpy as np
 
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
-from .graphs import DEFAULT_SIZE_CAP, Graph, distances, single_source, structural_facts
+from .graphs import DEFAULT_SIZE_CAP, Graph, single_source, structural_facts
 from .spectral import DEFAULT_EIG_TOL, perron
 from .symmetry import orbit
 
@@ -234,10 +234,9 @@ def smith_c0_table(spec: FamilySpec) -> float:
 
 
 def _check_radius(spec: FamilySpec, g: Graph) -> None:
-    radius = perron(g).radius
-    expected = smith_c0_table(spec) - 1
-    if abs(radius - expected) > 1e-9:
-        _fail(spec, f"spectral radius {radius} != {expected}")
+    c0, expected = perron(g).c0, smith_c0_table(spec)
+    if abs(c0 - expected) > 1e-9:
+        _fail(spec, f"spectral C0 {c0} != {expected}")
 
 
 def _check_srg(spec: FamilySpec, g: Graph, n: int, k: int, lam: int, mu: int) -> None:
@@ -538,7 +537,7 @@ def truncation_study(
                 {
                     "depth": depth,
                     "n": g.n,
-                    "c0": 1 + perron(g, tol=eig_tol).radius,
+                    "c0": perron(g, tol=eig_tol).c0,
                     "probe_ball_k": ball_k,
                     "probe_ball_2k": ball_2k,
                     "probe_ball_2k1": ball_2k1,
@@ -557,12 +556,12 @@ def truncation_study(
             if depth < 4:
                 raise ValidationError("d_infinity depths must be >= 4")
             g = generate(FamilySpec("d_n", n=depth), cap=cap)
-        report = doubling_report(g, distances(g), counting_measure(g))
+        report = doubling_report(g, mu=counting_measure(g))
         records.append(
             {
                 "depth": depth,
                 "n": g.n,
-                "c0": 1 + perron(g, tol=eig_tol).radius,
+                "c0": perron(g, tol=eig_tol).c0,
                 "c_counting": report.c_mu,
                 "per_k": [(p.k, p.value, p.witness) for p in report.per_k],
             }

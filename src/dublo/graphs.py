@@ -251,10 +251,6 @@ class DistanceTable:
     dist: np.ndarray
     diam: int
 
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
 
 def single_source(g: Graph, src: int) -> list[int]:
     """BFS hop distance from src to every vertex, -1 where it is unreachable."""
@@ -275,20 +271,20 @@ def distances(g: Graph) -> DistanceTable:
     return g._distance_table
 
 
-def ball(dt: DistanceTable, v: int, r: int) -> frozenset[int]:
+def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     """Closed ball: vertices within hop distance r of v."""
-    if not 0 <= v < dt.n:
+    if not 0 <= v < g.n:
         raise ValidationError(f"vertex {v} out of range")
     if r < 0:
         raise ValidationError(f"radius {r} must be >= 0")
-    return frozenset(np.flatnonzero(dt.dist[v] <= r).tolist())
+    return frozenset(np.flatnonzero(distances(g).dist[v] <= r).tolist())
 
 
-def ball_matrix(dt: DistanceTable, r: int) -> np.ndarray:
+def ball_matrix(g: Graph, r: int) -> np.ndarray:
     """0/1 matrix with entry (v, w) = 1 iff d(v, w) <= r, so mu(B(v,r)) = (M_r mu)_v."""
     if r < 0:
         raise ValidationError(f"radius {r} must be >= 0")
-    return (dt.dist <= r).astype(np.float64)
+    return (distances(g).dist <= r).astype(np.float64)
 
 
 @dataclass(frozen=True)

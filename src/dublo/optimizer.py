@@ -208,7 +208,7 @@ class FeasibilityProblem:
         if x is None:
             return None
         mu = Measure(self.expand(x))
-        return mu, exact_slacks(self.dt, mu, t)[1]
+        return mu, exact_slacks(self.g, mu, t)[1]
 
 
 def _highs_binding():
@@ -365,7 +365,7 @@ def least_doubling(
     cert = None
     if certificate:
         exact_mu = Measure(tuple(Fraction(w) for w in best_mu.weights))
-        t, slacks = exact_slacks(dt, exact_mu)
+        t, slacks = exact_slacks(g, exact_mu)
         cert = Certificate(t=t, measure=exact_mu, c_mu_exact=t, slacks=slacks)
 
     return OptimizationResult(
@@ -393,7 +393,7 @@ def _below(t_hi: float, tol: float) -> float:
 def _perron_pass(g: Graph, eig_tol: float) -> tuple[float, Measure]:
     """C0 = 1 + r(A_G) and the Perron measure."""
     spectrum = perron(g, eig_tol)
-    return 1.0 + spectrum.radius, Measure(tuple(float(w) for w in spectrum.eigvec))
+    return spectrum.c0, Measure(tuple(float(w) for w in spectrum.eigvec))
 
 
 def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
@@ -412,7 +412,7 @@ def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
     Automorphisms preserve every signature, so classes are never finer than
     the Aut(G) orbits.
     """
-    colour = np.zeros(dt.n, dtype=np.int64)
+    colour = np.zeros(len(dt.dist), dtype=np.int64)
     count = 1
     while True:
         signatures = np.ascontiguousarray(np.sort(dt.dist * count + colour, axis=1))
@@ -431,7 +431,7 @@ def check_lemachorra(g: Graph) -> dict:
     running the optimizer.
     """
     c0, mu0 = _perron_pass(g, DEFAULT_EIG_TOL)
-    return _lemachorra_record(c0, doubling_report(g, distances(g), mu0))
+    return _lemachorra_record(c0, doubling_report(g, mu=mu0))
 
 
 def _lemachorra_record(c0: float, perron_report: DoublingReport) -> dict:

@@ -33,6 +33,11 @@ class SpectralResult:
     residual: float
     iterations: int
 
+    @property
+    def c0(self) -> float:
+        """C0 = 1 + r(A_G), the restricted doubling constant at radius 0."""
+        return 1.0 + self.radius
+
 
 def _start(g: Graph, a: np.ndarray) -> np.ndarray:
     """The power iteration's first iterate: |top eigenvector of a|, min entry 1, or all-ones."""
@@ -90,7 +95,7 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SpectralResult:
 
 def c0_constant(g: Graph) -> float:
     """Restricted doubling constant at radius 0: 1 + spectral radius."""
-    return 1.0 + perron(g).radius
+    return perron(g).c0
 
 
 def perron_measure(g: Graph) -> Measure:

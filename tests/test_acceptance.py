@@ -95,7 +95,7 @@ def test_criterion_02_three_legs():
 def test_criterion_03_doyle_exact():
     g = generate(FamilySpec("doyle"))
     res = least_doubling(g, certificate=True)
-    counting = doubling_report(g, distances(g), counting_measure(g))
+    counting = doubling_report(g, mu=counting_measure(g))
     values = [p.value for p in counting.per_k]
     ok = (
         res.c_g_exact == Fraction(27, 5)
@@ -164,9 +164,8 @@ def _random_diam2_graph(rand: random.Random):
     while True:
         n = rand.randint(4, 12)
         g = random_connected_graph(rand, n, extra=rand.uniform(0.35, 0.7))
-        dt = distances(g)
-        if dt.diam == 2:
-            return g, dt
+        if distances(g).diam == 2:
+            return g
 
 
 def test_criterion_07_diameter2_law():
@@ -174,10 +173,10 @@ def test_criterion_07_diameter2_law():
     checked = 0
     ok = True
     for _ in range(200):
-        g, dt = _random_diam2_graph(rand)
+        g = _random_diam2_graph(rand)
         for _ in range(5):
             mu = random_int_measure(rand, g.n, hi=50)
-            report = doubling_report(g, dt, mu)
+            report = doubling_report(g, mu=mu)
             ok = ok and report.c_mu == report.per_k[0].value  # exact equality
             checked += 1
     _report(7, ok and checked == 1000, f"C_mu = C_mu^0 exactly on {checked} diam-2 cases")
@@ -217,22 +216,20 @@ def test_criterion_09_property_suites():
     # symmetrization never increases any restricted constant, 500 cases
     for _ in range(500):
         g = random_connected_graph(rand, rand.randint(2, 8))
-        dt = distances(g)
         auts = automorphisms(g)
         subset = rand.sample(auts, rand.randint(1, len(auts)))
         mu = random_int_measure(rand, g.n)
-        before = doubling_report(g, dt, mu)
-        after = doubling_report(g, dt, symmetrize(mu, subset))
+        before = doubling_report(g, mu=mu)
+        after = doubling_report(g, mu=symmetrize(mu, subset))
         ok = ok and all(a.value <= b.value for b, a in zip(before.per_k, after.per_k))
 
     # convexity: sum of measures never beats the worse part, 500 cases
     for _ in range(500):
         g = random_connected_graph(rand, rand.randint(2, 9))
-        dt = distances(g)
         m1, m2 = random_int_measure(rand, g.n), random_int_measure(rand, g.n)
-        r1 = doubling_report(g, dt, m1)
-        r2 = doubling_report(g, dt, m2)
-        rs = doubling_report(g, dt, m1.plus(m2))
+        r1 = doubling_report(g, mu=m1)
+        r2 = doubling_report(g, mu=m2)
+        rs = doubling_report(g, mu=m1.plus(m2))
         ok = ok and all(
             s.value <= max(a.value, b.value)
             for a, b, s in zip(r1.per_k, r2.per_k, rs.per_k)

@@ -145,6 +145,17 @@ def test_exit_code_validation_size_cap(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_a_cap_is_named_a_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
+    code, out, err = run_cli(capsys, "compute", "--family", "path", "--n", "600")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "cap reached: graph has 600 vertices, cap is 512\n"
+    path = tmp_path / "disc.txt"
+    path.write_text("0 1\n2 3\n")
+    code, _, err = run_cli(capsys, "compute", "--input", str(path))
+    assert code == EXIT_VALIDATION and err.startswith("validation error: ")
+
+
 def test_deterministic_output(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n2 3\n3 0\n1 3\n")

@@ -25,6 +25,7 @@ from dublo import (
     parse_edge_list,
     restricted_constant,
 )
+from dublo.doubling import exact_slacks
 from dublo.families import FamilySpec
 
 from util import random_connected_graph, random_float_measure, random_int_measure
@@ -49,60 +50,68 @@ def test_counting_measure_is_exact_ones():
 
 def test_restricted_constant_c5_counting():
     g = generate(FamilySpec("cycle", n=5))
-    dt = distances(g)
-    value, witness = restricted_constant(g, dt, counting_measure(g), 0)
+    value, witness = restricted_constant(g, counting_measure(g), 0)
     assert value == Fraction(3) and witness == 0
-    value1, _ = restricted_constant(g, dt, counting_measure(g), 1)
+    value1, _ = restricted_constant(g, counting_measure(g), 1)
     assert value1 == Fraction(5, 3)
 
 
 def test_restricted_constant_three_legs_perron_leaf():
     g = generate(FamilySpec("three_legs"))
-    dt = distances(g)
     weights = [0] * 7
     for v in range(7):
         weights[v] = {3: 3, 2: 2, 1: 1}[g.degree(v)]
     mu = Measure(tuple(weights))
-    value, witness = restricted_constant(g, dt, mu, 1)
+    value, witness = restricted_constant(g, mu, 1)
     assert value == Fraction(10, 3)
     assert g.degree(witness) == 1  # a leaf attains it
 
 
 def test_restricted_constant_complete_any_measure():
     g = generate(FamilySpec("complete", n=5))
-    dt = distances(g)
     rand = random.Random(3)
     for _ in range(10):
         mu = random_int_measure(rand, 5)
-        value, _ = restricted_constant(g, dt, mu, 0)
+        value, _ = restricted_constant(g, mu, 0)
         assert value == Fraction(sum(mu.weights), min(mu.weights))
         assert value >= 5 or sum(mu.weights) == 5 * min(mu.weights)
 
 
 def test_restricted_constant_k_out_of_range():
     g = generate(FamilySpec("cycle", n=5))
-    dt = distances(g)
     with pytest.raises(ValidationError):
-        restricted_constant(g, dt, counting_measure(g), 2)
+        restricted_constant(g, counting_measure(g), 2)
 
 
 def test_doubling_report_k2_counting():
     g = generate(FamilySpec("complete", n=2))
-    report = doubling_report(g, distances(g), counting_measure(g))
+    report = doubling_report(g, mu=counting_measure(g))
     assert report.c_mu == 2 and report.k_max == 0
 
 
 def test_doubling_report_c5_counting():
     g = generate(FamilySpec("cycle", n=5))
-    report = doubling_report(g, distances(g), counting_measure(g))
+    report = doubling_report(g, mu=counting_measure(g))
     assert report.c_mu == Fraction(3)
     assert [p.value for p in report.per_k] == [Fraction(3), Fraction(5, 3)]
+
+
+def test_doubling_report_reads_the_graphs_own_balls():
+    # a 6-cycle's table used to reach a 6-path's report and gave C_mu = 9
+    g = generate(FamilySpec("path", n=6))
+    assert doubling_report(g, mu=Measure((1, 2, 3, 4, 5, 6))).c_mu == Fraction(7, 2)
+
+
+def test_exact_slacks_rejects_a_measure_of_the_wrong_length():
+    g = generate(FamilySpec("path", n=7))
+    with pytest.raises(ValidationError, match="6 weights for a 7-vertex graph"):
+        exact_slacks(g, Measure((1,) * 6))
 
 
 def test_doubling_report_three_legs_exceeds_c0():
     g = generate(FamilySpec("three_legs"))
     weights = tuple({3: 3, 2: 2, 1: 1}[g.degree(v)] for v in range(7))
-    report = doubling_report(g, distances(g), Measure(weights))
+    report = doubling_report(g, mu=Measure(weights))
     assert report.c_mu >= Fraction(10, 3)
     per0 = report.per_k[0]
     assert per0.value == Fraction(3)
@@ -115,7 +124,7 @@ def test_witness_attains_reported_ratio():
         g = random_connected_graph(rand, rand.randint(2, 10))
         dt = distances(g)
         mu = random_int_measure(rand, g.n)
-        report = doubling_report(g, dt, mu)
+        report = doubling_report(g, mu=mu)
         for k, value, witness in report.per_k:
             num = mu.mass({w for w in range(g.n) if dt.dist[witness][w] <= 2 * k + 1})
             den = mu.mass({w for w in range(g.n) if dt.dist[witness][w] <= k})
@@ -126,11 +135,10 @@ def test_float_and_exact_modes_agree():
     rand = random.Random(42)
     for _ in range(60):
         g = random_connected_graph(rand, rand.randint(2, 12))
-        dt = distances(g)
         mu_int = random_int_measure(rand, g.n)
         mu_float = Measure(tuple(float(w) for w in mu_int.weights))
-        exact = doubling_report(g, dt, mu_int)
-        approx = doubling_report(g, dt, mu_float)
+        exact = doubling_report(g, mu=mu_int)
+        approx = doubling_report(g, mu=mu_float)
         assert exact.is_exact and not approx.is_exact
         for pe, pf in zip(exact.per_k, approx.per_k):
             assert abs(float(pe.value) - pf.value) <= 1e-12
@@ -140,10 +148,9 @@ def test_float_and_exact_modes_agree():
 def test_scale_invariance():
     rand = random.Random(13)
     g = random_connected_graph(rand, 8)
-    dt = distances(g)
     mu = random_int_measure(rand, 8)
-    base = doubling_report(g, dt, mu)
-    scaled = doubling_report(g, dt, mu.scaled(Fraction(7, 3)))
+    base = doubling_report(g, mu=mu)
+    scaled = doubling_report(g, mu=mu.scaled(Fraction(7, 3)))
     assert base.c_mu == scaled.c_mu
     assert [p.value for p in base.per_k] == [p.value for p in scaled.per_k]
 
@@ -153,7 +160,7 @@ def test_lower_bound_2_when_n_ge_2():
     for _ in range(25):
         g = random_connected_graph(rand, rand.randint(2, 9))
         mu = random_int_measure(rand, g.n)
-        report = doubling_report(g, distances(g), mu)
+        report = doubling_report(g, mu=mu)
         assert report.c_mu >= 2
         assert report.per_k[0].value >= 2
 
@@ -164,12 +171,11 @@ def test_convexity_per_k(data):
     seed = data.draw(st.integers(0, 10**6))
     rand = random.Random(seed)
     g = random_connected_graph(rand, rand.randint(2, 9))
-    dt = distances(g)
     mu1 = random_int_measure(rand, g.n)
     mu2 = random_int_measure(rand, g.n)
-    r1 = doubling_report(g, dt, mu1)
-    r2 = doubling_report(g, dt, mu2)
-    rsum = doubling_report(g, dt, mu1.plus(mu2))
+    r1 = doubling_report(g, mu=mu1)
+    r2 = doubling_report(g, mu=mu2)
+    rsum = doubling_report(g, mu=mu1.plus(mu2))
     for p1, p2, ps in zip(r1.per_k, r2.per_k, rsum.per_k):
         assert ps.value <= max(p1.value, p2.value)
 
@@ -187,7 +193,7 @@ def test_diameter2_collapse(data):
     else:
         return
     mu = random_int_measure(rand, g.n)
-    report = doubling_report(g, dt, mu)
+    report = doubling_report(g, mu=mu)
     assert report.c_mu == report.per_k[0].value  # C_mu = C_mu^0 exactly
 
 
@@ -208,7 +214,7 @@ def test_local_max_lemma(data):
     weights = [Fraction(rand.randint(1, 20)) for _ in range(g.n)]
     nbr = rand.choice(list(g.adj[v]))
     weights[nbr] = weights[v] + rand.randint(0, 5)
-    report = doubling_report(g, distances(g), Measure(tuple(weights)))
+    report = doubling_report(g, mu=Measure(tuple(weights)))
     assert report.per_k[0].value >= 3
 
 
@@ -305,7 +311,7 @@ def test_exact_report_matches_reference_loop():
         g = random_connected_graph(rand, rand.randint(1, 16), extra=rand.choice([0.0, 0.1, 0.4]))
         dt = distances(g)
         for kind, mu in _measures(rand, g.n):
-            report = doubling_report(g, dt, mu)
+            report = doubling_report(g, mu=mu)
             expected = reference_per_k(g, dt, mu)
             assert [tuple(p) for p in report.per_k] == expected, kind
             assert all(isinstance(p.value, Fraction) for p in report.per_k)
@@ -314,7 +320,7 @@ def test_exact_report_matches_reference_loop():
     for spec in (FamilySpec("cycle", n=40), FamilySpec("hoffman_singleton")):
         g = generate(spec)
         dt = distances(g)
-        report = doubling_report(g, dt, counting_measure(g))
+        report = doubling_report(g, mu=counting_measure(g))
         assert [tuple(p) for p in report.per_k] == reference_per_k(g, dt, counting_measure(g))
         assert all(p.witness == 0 for p in report.per_k), spec
 
@@ -323,19 +329,18 @@ def test_float_report_matches_ball_matrix_products():
     rand = random.Random(31)
     for _ in range(40):
         g = random_connected_graph(rand, rand.randint(2, 16))
-        dt = distances(g)
         mu = random_float_measure(rand, g.n)
         w = mu.as_array()
-        for k, value, witness in doubling_report(g, dt, mu).per_k:
-            ratios = (ball_matrix(dt, 2 * k + 1) @ w) / (ball_matrix(dt, k) @ w)
+        for k, value, witness in doubling_report(g, mu=mu).per_k:
+            ratios = (ball_matrix(g, 2 * k + 1) @ w) / (ball_matrix(g, k) @ w)
             assert value == pytest.approx(ratios.max(), rel=1e-14)
             assert ratios[witness] == pytest.approx(ratios.max(), rel=1e-14)
 
 
 def test_exact_counting_report_path_300_is_fast():
     g = generate(FamilySpec("path", n=300))
-    dt = distances(g)
+    distances(g)  # the table is built before the timer starts
     start = time.perf_counter()
-    report = doubling_report(g, dt, counting_measure(g))
+    report = doubling_report(g, mu=counting_measure(g))
     assert time.perf_counter() - start < 1.0
     assert report.c_mu == 3 and report.per_k[0] == (0, Fraction(3), 1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dublo import (
+    Graph,
     SizeCapError,
     ValidationError,
     c0_constant,
@@ -61,12 +62,10 @@ def test_doyle_self_check_rejects_a_witness_that_is_not_an_automorphism(monkeypa
 )
 def test_simple_families_check_without_a_distance_table(monkeypatch, family, sizes):
     # degrees and edge counts, with connectivity, already fix these graphs' diameters
-    from dublo import families
-
     def refuse(g):
         raise AssertionError("distance table built by the self-check")
 
-    monkeypatch.setattr(families, "distances", refuse)
+    monkeypatch.setattr(Graph, "_distance_table", property(refuse))
     graphs = [generate(FamilySpec(family, n=n)) for n in sizes]
     monkeypatch.undo()
     for n, g in zip(sizes, graphs):
@@ -268,7 +267,7 @@ def test_truncation_d_infinity_measure_exactly_3():
     g = generate(FamilySpec("d_n", n=20))
     mu = d_infinity_measure(g)
     assert sorted(mu.weights)[:2] == [1, 1] and set(mu.weights) == {1, 2}
-    report = doubling_report(g, distances(g), mu)
+    report = doubling_report(g, mu=mu)
     assert report.c_mu == Fraction(3)  # exact rational evaluation
 
 

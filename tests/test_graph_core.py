@@ -229,15 +229,13 @@ def test_distances_keeps_one_table_per_graph_and_frees_it_with_the_graph():
 
 def test_ball_basics_c5():
     g = generate(FamilySpec("cycle", n=5))
-    dt = distances(g)
-    b = ball(dt, 0, 1)
+    b = ball(g, 0, 1)
     assert b == frozenset({0, 1, 4}) and len(b) == 3
 
 
 def test_ball_complete():
     g = generate(FamilySpec("complete", n=6))
-    dt = distances(g)
-    assert len(ball(dt, 2, 1)) == 6
+    assert len(ball(g, 2, 1)) == 6
 
 
 def test_ball_three_legs_leaf_radius3():
@@ -247,7 +245,7 @@ def test_ball_three_legs_leaf_radius3():
     dt = distances(g)
     leaf = next(v for v in range(7) if g.degree(v) == 1)
     by_hand = {w for w in range(7) if dt.dist[leaf][w] <= 3}
-    assert ball(dt, leaf, 3) == frozenset(by_hand)
+    assert ball(g, leaf, 3) == frozenset(by_hand)
     assert len(by_hand) == 5
     other_leaves = [v for v in range(7) if g.degree(v) == 1 and v != leaf]
     far = [v for v in other_leaves if v not in by_hand]
@@ -259,38 +257,38 @@ def test_ball_radius_saturates_at_diam():
     g = random_connected_graph(rand, 9)
     dt = distances(g)
     for v in range(g.n):
-        assert len(ball(dt, v, dt.diam)) == g.n
-        assert ball(dt, v, 0) == frozenset({v})
+        assert len(ball(g, v, dt.diam)) == g.n
+        assert ball(g, v, 0) == frozenset({v})
 
 
 def test_ball_vertex_out_of_range():
-    dt = distances(generate(FamilySpec("path", n=3)))
+    g = generate(FamilySpec("path", n=3))
     with pytest.raises(ValidationError):
-        ball(dt, 5, 1)
+        ball(g, 5, 1)
 
 
 def test_ball_matrix_identity_and_monotone():
     g = generate(FamilySpec("path", n=3))
     dt = distances(g)
-    m0 = ball_matrix(dt, 0)
+    m0 = ball_matrix(g, 0)
     assert (m0 == np.eye(3)).all()
-    m1 = ball_matrix(dt, 1)
+    m1 = ball_matrix(g, 1)
     assert (m1 >= m0).all()
     # L_3 at r=1 is tridiagonal
     assert (m1 == np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])).all()
-    assert (ball_matrix(dt, dt.diam) == 1).all()
+    assert (ball_matrix(g, dt.diam) == 1).all()
 
 
 def test_ball_matrix_k3_all_ones():
-    dt = distances(generate(FamilySpec("complete", n=3)))
-    assert (ball_matrix(dt, 1) == 1).all()
+    g = generate(FamilySpec("complete", n=3))
+    assert (ball_matrix(g, 1) == 1).all()
 
 
 def test_ball_matrix_row_sums_are_degree_plus_one():
     rand = random.Random(5)
     for _ in range(10):
         g = random_connected_graph(rand, rand.randint(2, 15))
-        m1 = ball_matrix(distances(g), 1)
+        m1 = ball_matrix(g, 1)
         assert (m1.sum(axis=1) == np.array(g.degrees) + 1).all()
 
 

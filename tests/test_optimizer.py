@@ -1,7 +1,9 @@
 """Feasibility oracle, the CFS iteration, certificates, brute force, polynomial roots."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 import random
 import sys
 import time
@@ -31,6 +33,7 @@ from dublo import (
     perron_measure,
     poly_largest_root,
 )
+import dublo
 from dublo import optimizer
 from dublo.doubling import _masses_and_report
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec, catalog
@@ -63,20 +66,33 @@ def test_feasible_c6_below_3_rejected():
 
 def test_feasible_c6_at_3_uniform():
     g = generate(FamilySpec("cycle", n=6))
-    dt = distances(g)
     mu = feasible(g, t=3.0)
     assert mu is not None
-    report = doubling_report(g, dt, mu)
+    report = doubling_report(g, mu=mu)
     assert float(report.c_mu) <= 3.0 + 1e-9
     # uniform weights satisfy all 12 constraints at t = 3 (direct verification)
-    uniform = doubling_report(g, dt, counting_measure(g))
+    uniform = doubling_report(g, mu=counting_measure(g))
     assert uniform.c_mu == Fraction(3)
 
 
 def test_no_entry_point_takes_a_distance_table():
-    # the table is always the graph's own, from distances(g)
-    for fn in (least_doubling, FeasibilityProblem, feasible):
-        assert "dt" not in inspect.signature(fn).parameters, fn
+    # the table is always the graph's own, from distances(g): no public
+    # function or method of any module takes one
+    taking = []
+    for info in pkgutil.iter_modules(dublo.__path__):
+        module = importlib.import_module(f"dublo.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                keys = [key for key in vars(obj) if key == "__init__" or key[0] != "_"]
+                members = [getattr(obj, key) for key in keys]
+            for fn in filter(inspect.isroutine, members):
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name == "dt" or "DistanceTable" in str(param.annotation):
+                        taking.append(f"{module.__name__}.{fn.__qualname__}({param.name})")
+    assert taking == []
     assert inspect.signature(feasible).parameters["t"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
@@ -336,7 +352,7 @@ def test_row_subset_answer_is_not_full_feasibility():
     radius0 = np.arange(problem.n_vars)
     mu = problem.check(3.05, radius0)
     assert mu is not None and len(mu) == 7
-    assert float(doubling_report(g, distances(g), mu).c_mu) > 3.05
+    assert float(doubling_report(g, mu=mu).c_mu) > 3.05
     assert problem.check(3.05) is None
 
 
@@ -395,7 +411,7 @@ def test_three_legs_explicit_optimal_weights():
     r = THREE_LEGS_ROOT
     by_degree = {1: 1.0, 2: (1 + r) / 2, 3: (r * r + r - 2) / 2}
     mu = Measure(tuple(by_degree[g.degree(v)] for v in range(7)))
-    report = doubling_report(g, distances(g), mu)
+    report = doubling_report(g, mu=mu)
     assert float(report.c_mu) == pytest.approx(1 + r, abs=1e-9)
 
 
@@ -427,12 +443,11 @@ def test_bracket_is_at_most_tol_wide_in_floats(tol):
     rand = random.Random(int(-math.log10(tol)))
     graphs = [random_connected_graph(rand, rand.randint(5, 14), extra=0.15) for _ in range(12)]
     for g in graphs + [generate(FamilySpec("three_legs")), hub_tail(6)]:
-        dt = distances(g)
         res = least_doubling(g, tol)
         lo, hi = res.bracket
         assert hi - lo <= tol
         assert lo >= res.lower_bound_spectral
-        assert float(doubling_report(g, dt, res.minimizer).c_mu) <= hi == res.c_g
+        assert float(doubling_report(g, mu=res.minimizer).c_mu) <= hi == res.c_g
 
 
 def _counting_solves(monkeypatch):
@@ -490,12 +505,11 @@ def test_tolerance_finer_than_the_lp_is_rejected():
 def test_minimizer_sum_stays_optimal():
     # two routes to a minimizer; their sum must again be (near-)minimal
     g = generate(FamilySpec("three_legs"))
-    dt = distances(g)
     a = least_doubling(g, orbit_reduction=True).minimizer
     b = least_doubling(g, orbit_reduction=False).minimizer
     combined = Measure(tuple(x + y for x, y in zip(a.weights, b.weights)))
     c_g = least_doubling(g).c_g
-    assert float(doubling_report(g, dt, combined).c_mu) <= c_g + 1e-8
+    assert float(doubling_report(g, mu=combined).c_mu) <= c_g + 1e-8
 
 
 def test_diam2_perron_measure_closes_the_bracket():
@@ -561,7 +575,7 @@ def test_exact_simplex_sharp_at_d_hat_boundary():
         assert at_3 is not None
         mu, slacks = at_3
         assert all(s >= 0 for s in slacks)
-        assert doubling_report(g, distances(g), mu).c_mu <= Fraction(3)
+        assert doubling_report(g, mu=mu).c_mu <= Fraction(3)
         assert problem.check_exact(Fraction(3) - Fraction(1, 10**6)) is None
 
 
@@ -593,7 +607,7 @@ def test_certificate_exact_measure_verifies():
     res = least_doubling(generate(FamilySpec("three_legs")), certificate=True)
     cert = res.certificate
     g = generate(FamilySpec("three_legs"))
-    report = doubling_report(g, distances(g), cert.measure)
+    report = doubling_report(g, mu=cert.measure)
     assert report.c_mu == cert.c_mu_exact
     assert cert.c_mu_exact <= cert.t
 
@@ -710,7 +724,7 @@ def test_max_ratio_is_the_report_constant():
         den, num = row_tables(dt.dist, dt.diam, res.classes)
         weights = np.array([res.minimizer[v] for v in FeasibilityProblem(g, res.classes).reps])
         assert ((num @ weights) / (den @ weights)).max() == pytest.approx(
-            float(doubling_report(g, dt, res.minimizer).c_mu), rel=1e-13
+            float(doubling_report(g, mu=res.minimizer).c_mu), rel=1e-13
         )
 
 
