@@ -1,6 +1,6 @@
 """Command-line surface: compute, spectral, classify, family, verify, batch, truncate.
 
-All machine output carries the schema tag "dublo/1"; floats are printed with
+All machine output carries the schema tag "dublo/2"; floats are printed with
 12 significant digits and exact rationals as "p/q" strings, so identical
 inputs and configuration produce byte-identical reports.
 
@@ -30,7 +30,7 @@ from .graphs import (
     DEFAULT_SIZE_CAP, Graph, distances, parse_edge_list, parse_graph6, write_graph6
 )
 
-SCHEMA = "dublo/1"
+SCHEMA = "dublo/2"
 _ENV_SIZE_CAP = "DUBLO_SIZE_CAP"
 
 EXIT_OK = 0
@@ -202,9 +202,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "c_g_exact": result.c_g_exact,
         "bracket": list(result.bracket),
         "minimizer": list(result.minimizer.weights),
-        "minimizer_c_mu": float(result.minimizer_report.c_mu),
-        "orbit_count": len(class_sizes),
-        "orbit_sizes": class_sizes,
+        "class_count": len(class_sizes),
+        "class_sizes": class_sizes,
         "notes": result.method_notes,
         "lemachorra": result.lemachorra(),
     }

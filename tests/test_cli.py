@@ -3,13 +3,14 @@
 import json
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from dublo import graphs, write_graph6
 from dublo.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RunConfig, main
 
-from util import connected_graphs_exactly
+from util import G10, connected_graphs_exactly
 
 
 def run_cli(capsys, *argv):
@@ -33,7 +34,7 @@ def test_compute_k2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "--input", str(path))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["schema"] == "dublo/1"
+    assert payload["schema"] == "dublo/2"
     assert payload["c_g"] == 2.0
     assert payload["n"] == 2
 
@@ -55,10 +56,10 @@ def test_single_class_diameter_two_reports_counting_exactly(capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", *argv)
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["orbit_count"] == 1 and payload["notes"]["diam2_shortcut"], argv
-        assert payload["notes"]["vertex_transitive"], argv
+        assert payload["class_count"] == 1 and payload["notes"]["diam2_shortcut"], argv
+        assert payload["class_sizes"] == [payload["n"]], argv
         assert payload["c_g_exact"] == exact, argv
-        assert payload["notes"]["counting_cross_check"] == payload["c_g"], argv
+        assert Fraction(payload["c_g_exact"]) == payload["c_g"], argv
 
 
 def test_compute_family_cocktail_party(capsys):
@@ -71,8 +72,34 @@ def test_compute_reports_class_sizes(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "path", "--n", "9")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["orbit_count"] == 5
-    assert payload["orbit_sizes"] == [1, 2, 2, 2, 2]
+    assert payload["class_count"] == 5
+    assert payload["class_sizes"] == [1, 2, 2, 2, 2]
+
+
+def test_compute_reports_each_fact_once(tmp_path, capsys):
+    # G10 has one refinement class but two Aut orbits, so nothing may call it
+    # vertex-transitive; diameter, class count and exact counting constant
+    # each have one top-level home
+    path = tmp_path / "g10.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in G10.edges()))
+    keys = {
+        "schema", "n", "m", "diam", "c0", "c_g", "c_g_exact", "bracket", "minimizer",
+        "class_count", "class_sizes", "notes", "lemachorra",
+    }
+    for extra in ((), ("--certificate",)):
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path), *extra)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert set(payload) == keys | ({"certificate"} if extra else set())
+        assert set(payload["notes"]) == {"lp_solves", "diam2_shortcut"}
+        assert payload["class_count"] == len(payload["class_sizes"]) == 1
+        assert sum(payload["class_sizes"]) == payload["n"] == 10
+        assert "vertex_transitive" not in out
+    for argv in (["path", "--n", "9"], ["doyle"]):
+        payload = json.loads(run_cli(capsys, "compute", "--family", *argv)[1])
+        assert set(payload) == keys, argv
+        assert payload["class_count"] == len(payload["class_sizes"]), argv
+        assert sum(payload["class_sizes"]) == payload["n"], argv
 
 
 def test_compute_with_measure_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,7 @@ def test_relabelling_keeps_constants_and_verdict(name, g, h):
     assert abs(a.c_g - b.c_g) <= 1e-9
     assert abs(a.lower_bound_spectral - b.lower_bound_spectral) <= 1e-12
     assert a.lemachorra()["equal"] == b.lemachorra()["equal"]
+    assert sorted(Counter(a.classes).values()) == sorted(Counter(b.classes).values())
     assert classify_leq3(g).verdict == classify_leq3(h).verdict
 
 
