@@ -4,6 +4,10 @@ All machine output carries the schema tag "dublo/2"; floats are printed with
 12 significant digits and exact rationals as "p/q" strings, so identical
 inputs and configuration produce byte-identical reports.
 
+Each run setting is one flag; the vertex cap falls back to DUBLO_SIZE_CAP,
+then to the library default.  The Perron tolerance is not a setting: it is
+the constant ``spectral.EIG_TOL``.
+
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 validation
 error, 4 solver breakdown.
 """
@@ -47,20 +51,19 @@ def _setting(default, flag: str, help: str):
 
 @dataclass
 class RunConfig:
-    """Run settings: each is a flag, a config-file key and a library default."""
+    """Run settings: each is a flag and a library default."""
 
     tolerance_bisect: float = _setting(
         optimizer.DEFAULT_BISECT_TOL, "--tol", "largest width of the C_G bracket"
     )
-    tolerance_eig: float = _setting(spectral.DEFAULT_EIG_TOL, "--eig-tol", "Perron tolerance")
     certificate_mode: bool = _setting(False, "--certificate", "exact certificate of the minimizer")
     size_cap: int = _setting(DEFAULT_SIZE_CAP, "--size-cap", "vertex cap (env DUBLO_SIZE_CAP)")
     output_format: str = _setting("json", "--output", "output format")
     parallelism: int = _setting(1, "--jobs", "worker processes")
 
     def __post_init__(self) -> None:
-        if not all(0 < tol < math.inf for tol in (self.tolerance_bisect, self.tolerance_eig)):
-            raise ValidationError("tolerances must be finite and > 0")  # NaN included
+        if not 0 < self.tolerance_bisect < math.inf:  # NaN fails this too
+            raise ValidationError("tolerance must be finite and > 0")
         if self.size_cap < 2:
             raise ValidationError("size cap must be >= 2")
         if self.output_format not in ("json", "csv", "text"):
@@ -70,7 +73,6 @@ class RunConfig:
 
 
 _SETTINGS = {f.name: f for f in fields(RunConfig)}
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _read_input(source: str, errors: str = "strict") -> str:
@@ -91,28 +93,6 @@ def _read_input(source: str, errors: str = "strict") -> str:
         raise ParseError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat TOML-style 'key = value' file; only RunConfig keys are accepted."""
-    values: dict = {}
-    for lineno, raw in enumerate(_read_input(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip().strip('"').strip("'")
-        if key not in _SETTINGS:
-            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = type(_SETTINGS[key].default)
-        try:
-            values[key] = _BOOLS[val.lower()] if kind is bool else kind(val)
-        except (KeyError, ValueError):
-            raise ParseError(f"{path}:{lineno}: malformed value {val!r} for {key}") from None
-    return values
-
-
 def _env_size_cap() -> int:
     """The vertex cap from the DUBLO_SIZE_CAP env var, else the library default."""
     raw = os.environ.get(_ENV_SIZE_CAP)
@@ -128,19 +108,10 @@ def _env_size_cap() -> int:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Settings by precedence: flag, then config file, then DUBLO_SIZE_CAP, then default."""
-    values: dict = {"size_cap": _env_size_cap()}
-    if args.config:
-        values.update(_parse_config_file(args.config))
-    values.update(
-        (name, val) for name in _SETTINGS if (val := getattr(args, name, None)) is not None
-    )
-    # argparse checks a flag's format; this catches one from the config file
-    if values.get("output_format", RunConfig.output_format) not in args.output_choices:
-        raise ParseError(
-            f"{args.command} cannot print {values['output_format']!r} output; "
-            f"choose from {', '.join(args.output_choices)}"
-        )
+    """Each setting from its flag, else (the cap) DUBLO_SIZE_CAP, else the default."""
+    values = {name: val for name in _SETTINGS if (val := getattr(args, name, None)) is not None}
+    if "size_cap" not in values:  # a flag makes the env var unread, malformed or not
+        values["size_cap"] = _env_size_cap()
     return RunConfig(**values)
 
 
@@ -186,10 +157,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g = read_graph(args, config)
     dt = distances(g)
     result = optimizer.least_doubling(
-        g,
-        tol=config.tolerance_bisect,
-        certificate=config.certificate_mode,
-        eig_tol=config.tolerance_eig,
+        g, tol=config.tolerance_bisect, certificate=config.certificate_mode
     )
     class_sizes = sorted(Counter(result.classes).values())
     payload = {
@@ -238,7 +206,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_spectral(args: argparse.Namespace) -> int:
     config = build_config(args)
     g = read_graph(args, config)
-    res = spectral.perron(g, tol=config.tolerance_eig)
+    res = spectral.perron(g)
     payload = {
         "schema": SCHEMA,
         "n": g.n,
@@ -328,9 +296,7 @@ def _verify_rows(config: RunConfig, only: str | None):
     tol_c = 1e-6
 
     def run(g, **kw):
-        return optimizer.least_doubling(
-            g, tol=config.tolerance_bisect, eig_tol=config.tolerance_eig, **kw
-        )
+        return optimizer.least_doubling(g, tol=config.tolerance_bisect, **kw)
 
     def family(spec):
         return families.generate(spec, cap=config.size_cap)
@@ -384,7 +350,7 @@ def _verify_rows(config: RunConfig, only: str | None):
         specs += [FamilySpec(fam) for fam in ("e6", "e7", "e8", "e6_hat", "e7_hat", "e8_hat")]
         worst = 0.0
         for spec in specs:
-            c0 = spectral.perron(family(spec), tol=config.tolerance_eig).c0
+            c0 = spectral.perron(family(spec)).c0
             worst = max(worst, abs(c0 - families.smith_c0_table(spec)))
         return worst, 0.0, 1e-9, worst <= 1e-9
 
@@ -441,11 +407,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- batch
 
 
-def _batch_row(item: tuple[int, str, float, float, int]) -> dict:
-    index, line, tol, eig_tol, cap = item
+def _batch_row(item: tuple[int, str, float, int]) -> dict:
+    index, line, tol, cap = item
     try:
         g = parse_graph6(line, cap=cap)
-        res = optimizer.least_doubling(g, tol=tol, eig_tol=eig_tol)
+        res = optimizer.least_doubling(g, tol=tol)
         return {
             "index": index,
             "n": g.n,
@@ -464,10 +430,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # parse_graph6 rejects the surrogates of a non-UTF-8 record as non-ASCII
     text = _read_input(args.input, errors="surrogateescape")
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    items = [
-        (i, ln, config.tolerance_bisect, config.tolerance_eig, config.size_cap)
-        for i, ln in lines
-    ]
+    items = [(i, ln, config.tolerance_bisect, config.size_cap) for i, ln in lines]
     # a fork-started pool launches all its workers at once: cap by lines and cores
     workers = min(config.parallelism, len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -507,9 +470,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_truncate(args: argparse.Namespace) -> int:
     config = build_config(args)
     depths = _parse_depths(args.depths)
-    records = families.truncation_study(
-        args.family, depths, cap=config.size_cap, eig_tol=config.tolerance_eig
-    )
+    records = families.truncation_study(args.family, depths, cap=config.size_cap)
     payload = {"schema": SCHEMA, "family": args.family, "records": records}
     lines = [
         f"depth={r['depth']} n={r['n']} c0={r['c0']:.9f}"
@@ -556,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(command_name, help, fn, settings, outputs=("json", "text")):
         p = sub.add_parser(command_name, help=help)
-        p.set_defaults(fn=fn, output_choices=outputs)
-        p.add_argument("--config", default=None, help="flat key = value config file")
+        p.set_defaults(fn=fn)
         for name in settings:
             meta, kind = _SETTINGS[name].metadata, type(_SETTINGS[name].default)
             if kind is bool:
@@ -569,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(meta["flag"], dest=name, default=None, help=meta["help"], **kw)
         return p
 
-    bisect, eig, cap, out = "tolerance_bisect", "tolerance_eig", "size_cap", "output_format"
+    bisect, cap, out = "tolerance_bisect", "size_cap", "output_format"
 
     p = command("compute", "C_G, bracket, minimizer for one graph", cmd_compute,
-                (bisect, eig, "certificate_mode", cap, out))
+                (bisect, "certificate_mode", cap, out))
     _add_graph_input(p)
     p.add_argument("--measure", default=None, help="measure file to evaluate alongside")
 
-    p = command("spectral", "spectral radius and Perron vector", cmd_spectral, (eig, cap, out))
+    p = command("spectral", "spectral radius and Perron vector", cmd_spectral, (cap, out))
     _add_graph_input(p)
 
     p = command("classify", "position of C_G relative to 3", cmd_classify, (bisect, cap, out))
@@ -588,15 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("edgelist", "g6"), default="edgelist")
 
     p = command("verify", "reproduce the catalog of stated constants", cmd_verify,
-                (bisect, eig, cap, out))
+                (bisect, cap, out))
     p.add_argument("--only", default=None, help="run a single verification group")
 
     p = command("batch", "stream of graph6 records -> constants table", cmd_batch,
-                (bisect, eig, cap, out, "parallelism"), outputs=("json", "csv"))
+                (bisect, cap, out, "parallelism"), outputs=("json", "csv"))
     p.add_argument("--input", required=True, help="graph6 file path or - for stdin")
 
     p = command("truncate", "finite-truncation series for infinite graphs", cmd_truncate,
-                (eig, cap, out))
+                (cap, out))
     p.add_argument("--family", choices=families.TRUNCATION_FAMILIES, required=True)
     p.add_argument("--depths", required=True, help="comma list or lo..hi range")
 

@@ -25,17 +25,17 @@ closed form at construction, which is the convention-independent ground truth.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
 from .graphs import DEFAULT_SIZE_CAP, Graph, single_source, structural_facts
-from .spectral import DEFAULT_EIG_TOL, perron
+from .spectral import perron
 from .symmetry import orbit
 
 THREE_LEGS_POLY = (1.0, 1.0, -5.0, -3.0)  # x^3 + x^2 - 5x - 3
@@ -43,49 +43,77 @@ E8_RATIO_POLY = (1.0, -6.0, 11.0, -4.0, -10.0, 14.0, -8.0, 2.0, 0.0)
 
 
 def poly_largest_root(coeffs: Sequence[float]) -> float:
-    """Largest real root of a polynomial (coefficients highest degree first).
+    """Largest real root of a polynomial (coefficients highest degree first), correctly rounded.
 
-    Brackets from the Cauchy bound and scans downward for the rightmost sign
-    change, then bisects to a width of 1e-12.
+    The coefficients are read as exact rationals.  The Sturm sequence of p,
+    divided by gcd(p, p') so that a repeated root counts once, counts by its
+    sign variations the distinct roots above any point.  Bisection on that
+    count over the finite floats, in the order of their bit patterns, ends in
+    at most 64 steps at two adjacent floats around the root; the count at
+    their exact midpoint picks the nearer.
     """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or coeffs[0] == 0:
-        raise ValidationError("leading coefficient must be non-zero")
+    if len(coeffs) < 2 or coeffs[0] == 0 or not all(map(math.isfinite, coeffs)):
+        raise ValidationError("need degree >= 1 and finite coefficients, the leading one non-zero")
+    p = [Fraction(c) for c in coeffs]
+    seq = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while rem := _poly_divmod(seq[-2], seq[-1])[1]:
+        seq.append([-c for c in rem])
+    sturm = []
+    for f in seq:  # divided by the gcd, in integers (a positive scale keeps every sign)
+        q = _poly_divmod(f, seq[-1])[0]
+        scale = math.lcm(*(c.denominator for c in q))
+        sturm.append([int(c * scale) for c in q])
 
-    def p(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
+    def variations(values) -> int:
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    cauchy = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0]) if len(coeffs) > 1 else 1.0
-    steps = 4096
-    xs = np.linspace(cauchy, -cauchy, steps + 1)
-    vals = [p(float(x)) for x in xs]
-    for i in range(steps):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            return float(xs[i])
-        if a * b < 0:
-            lo, hi = float(xs[i + 1]), float(xs[i])
-            break
-    else:
-        if vals[-1] == 0.0:
-            return float(xs[-1])
-        raise ValidationError("no real root found")
-    flo = p(lo)
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
+    at_infinity = variations(f[0] for f in sturm)
+
+    def roots_above(x: float | Fraction) -> int:
+        a, b = x.as_integer_ratio()
+        values = []
+        for f in sturm:  # b^deg f(a / b), Horner in integers
+            acc, power = 0, 1
+            for c in f:
+                acc, power = acc * a + c * power, power * b
+            values.append(acc)
+        return variations(values) - at_infinity
+
+    top = sys.float_info.max
+    if not roots_above(-top) or roots_above(top):
+        raise ValidationError("no real root found in the float range")
+    lo, hi = -_float_rank(top), _float_rank(top)
+    while hi - lo > 1:  # a root lies above lo's float, none above hi's
+        mid = (lo + hi) // 2
+        if roots_above(_rank_float(mid)):
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    below, above = _rank_float(lo), _rank_float(hi)
+    return above if roots_above((Fraction(below) + Fraction(above)) / 2) else below
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list]:
+    """Quotient and remainder of a / b, highest degree first; the remainder has no leading 0."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        quotient.append(c)
+        a = [x - c * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quotient, a
+
+
+def _float_rank(x: float) -> int:
+    """Position of x among the floats: adjacent floats have adjacent ranks, and 0.0 has 0."""
+    bits = int.from_bytes(struct.pack("<d", x), "little", signed=True)
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def _rank_float(rank: int) -> float:
+    return math.copysign(struct.unpack("<d", abs(rank).to_bytes(8, "little"))[0], rank)
 
 
 FAMILY_NAMES = (
@@ -508,12 +536,7 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
 TRUNCATION_FAMILIES = ("path_N", "path_Z", "d_infinity", "grid_ray")
 
 
-def truncation_study(
-    family: str,
-    depths: list[int],
-    cap: int = DEFAULT_SIZE_CAP,
-    eig_tol: float = DEFAULT_EIG_TOL,
-) -> list[dict]:
+def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
     """Finite-truncation series standing in for an infinite graph.
 
     Per depth: the truncation's c0 (monotone non-decreasing along the chain)
@@ -537,7 +560,7 @@ def truncation_study(
                 {
                     "depth": depth,
                     "n": g.n,
-                    "c0": perron(g, tol=eig_tol).c0,
+                    "c0": perron(g).c0,
                     "probe_ball_k": ball_k,
                     "probe_ball_2k": ball_2k,
                     "probe_ball_2k1": ball_2k1,
@@ -561,7 +584,7 @@ def truncation_study(
             {
                 "depth": depth,
                 "n": g.n,
-                "c0": perron(g, tol=eig_tol).c0,
+                "c0": perron(g).c0,
                 "c_counting": report.c_mu,
                 "per_k": [(p.k, p.value, p.witness) for p in report.per_k],
             }

@@ -52,7 +52,7 @@ from .doubling import (
 )
 from .errors import SizeCapError, SolverError, ValidationError
 from .graphs import DistanceTable, Graph, distances
-from .spectral import DEFAULT_EIG_TOL, perron
+from .spectral import perron
 
 DEFAULT_BISECT_TOL = 1e-9
 LP_SOLVE_CAP = 60
@@ -285,7 +285,6 @@ def least_doubling(
     *,
     certificate: bool = False,
     orbit_reduction: bool = True,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> OptimizationResult:
     """Compute C_G with a bracketing interval of width <= tol.
 
@@ -304,7 +303,7 @@ def least_doubling(
         raise ValidationError("tolerance must be finite and > 0")
     dt = distances(g)
     classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
-    c0, mu0 = _perron_pass(g, eig_tol)
+    c0, mu0 = _perron_pass(g)
     masses0, report0 = _masses_and_report(g, dt, mu0)
     counting_masses, counting = _masses_and_report(g, dt, counting_measure(g))
     c_g_exact = counting.c_mu if max(classes) == 0 else None  # a single class
@@ -385,9 +384,9 @@ def _below(t_hi: float, tol: float) -> float:
     return t
 
 
-def _perron_pass(g: Graph, eig_tol: float) -> tuple[float, Measure]:
+def _perron_pass(g: Graph) -> tuple[float, Measure]:
     """C0 = 1 + r(A_G) and the Perron measure."""
-    spectrum = perron(g, eig_tol)
+    spectrum = perron(g)
     return spectrum.c0, Measure(tuple(float(w) for w in spectrum.eigvec))
 
 
@@ -425,7 +424,7 @@ def check_lemachorra(g: Graph) -> dict:
     Equality (within ``LEMACHORRA_TOL``) certifies C_G = C_G^0 without
     running the optimizer.
     """
-    c0, mu0 = _perron_pass(g, DEFAULT_EIG_TOL)
+    c0, mu0 = _perron_pass(g)
     return _lemachorra_record(c0, doubling_report(g, mu=mu0))
 
 

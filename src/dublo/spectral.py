@@ -9,7 +9,7 @@ scaling (tail entries that underflow on hub-and-tail graphs), it starts from
 all-ones instead, which is also exact on regular graphs.  Either way the
 start is only a guess: the Collatz-Wielandt bracket is the certificate.  The
 eigenvector is normalized to minimum entry 1, matching the optimizer's
-mu >= 1 convention.
+mu >= 1 convention.  The bracket closes at the one tolerance ``EIG_TOL``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doubling import Measure
-from .errors import SizeCapError, SolverError, ValidationError
+from .errors import SizeCapError, SolverError
 from .graphs import Graph
 
-DEFAULT_EIG_TOL = 1e-12
+EIG_TOL = 1e-12
 MAX_ITERATIONS = 10**6
 
 
@@ -53,20 +53,18 @@ def _start(g: Graph, a: np.ndarray) -> np.ndarray:
     return np.ones(g.n)  # a zero (an underflowed tail) or an overflow: the plain start
 
 
-def perron(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SpectralResult:
-    """Spectral radius and Perron eigenvector to a guaranteed tolerance.
+def perron(g: Graph) -> SpectralResult:
+    """Spectral radius and Perron eigenvector to within ``EIG_TOL``.
 
     Starts from ``_start``'s guess and stops when the Collatz-Wielandt
     bracket closes: for a positive iterate x,
     min_v (Ax)_v / x_v <= r(A) <= max_v (Ax)_v / x_v, so a bracket width
-    <= tol bounds the radius error directly (and is scale-free, which matters
-    for graphs whose Perron vector spans many orders of magnitude).  The
+    <= EIG_TOL bounds the radius error directly (and is scale-free, which
+    matters for graphs whose Perron vector spans many orders of magnitude).  The
     reported residual is the eigen-residual of the max-normalized vector and
     never exceeds the bracket width.  More than ``MAX_ITERATIONS`` steps
     raise SolverError.
     """
-    if not 0 < tol < np.inf:  # NaN fails this too
-        raise ValidationError("tolerance must be finite and > 0")
     if g.n == 1:
         return SpectralResult(0.0, np.ones(1), 0.0, 0)
     a = g.adjacency_matrix()
@@ -78,7 +76,7 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SpectralResult:
             spread = float(ratios.max() - ratios.min())
         if not np.isfinite(spread):
             raise SolverError(f"power iteration overflowed after {it} iterations")
-        if spread <= tol:
+        if spread <= EIG_TOL:
             # x @ ax / (x @ x) on x / 2^e: an exact scaling, so the same quotient, never overflowing
             e = np.frexp(x.max())[1]
             s = np.ldexp(x, -e)
@@ -89,7 +87,7 @@ def perron(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SpectralResult:
         y = ax + x  # (A + I) x keeps iterates strictly positive
         x = y / y.min()
     raise SolverError(
-        f"power iteration bracket did not reach {tol} in {MAX_ITERATIONS} iterations"
+        f"power iteration bracket did not reach {EIG_TOL} in {MAX_ITERATIONS} iterations"
     )
 
 

@@ -256,7 +256,7 @@ def test_truncate_honours_the_size_cap(capsys, monkeypatch):
 
 
 def test_size_cap_env(capsys, monkeypatch):
-    # the CLI reads DUBLO_SIZE_CAP below the flag and the config file
+    # the CLI reads DUBLO_SIZE_CAP below the flag
     import io
 
     monkeypatch.setenv("DUBLO_SIZE_CAP", "3")
@@ -264,6 +264,11 @@ def test_size_cap_env(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "compute", "--input", "-")
     assert code == EXIT_VALIDATION and out == ""
     assert "cap is 3" in err
+    argv = ["compute", "--family", "path", "--n", "4", "--size-cap", "8"]
+    for env in ("3", "abc"):  # the flag wins, and leaves the env var unread
+        monkeypatch.setenv("DUBLO_SIZE_CAP", env)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and json.loads(out)["n"] == 4, env
 
 
 def test_verify_only_three_legs(capsys):
@@ -439,33 +444,11 @@ def test_unreadable_file_is_parse_error(capsys):
     assert "cannot read" in err
 
 
-def test_config_file_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "dublo.cfg"
-    cfg.write_text("tolerance_bisect = 1e-6\noutput_format = text\n")
-    graph = tmp_path / "k2.txt"
-    graph.write_text("0 1\n")
-    # config sets text, flag overrides back to json
-    code, out, _ = run_cli(
-        capsys,
-        "compute",
-        "--input",
-        str(graph),
-        "--config",
-        str(cfg),
-        "--output",
-        "json",
-    )
-    assert code == EXIT_OK
-    json.loads(out)
-
-
 # ---------------------------------------------------------------- one pass per graph
 
 
-def test_compute_lemachorra_uses_run_eig_tol(capsys):
-    code, out, _ = run_cli(
-        capsys, "compute", "--family", "path", "--n", "30", "--eig-tol", "1e-3"
-    )
+def test_compute_lemachorra_reports_the_run_c0(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--family", "path", "--n", "30")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["lemachorra"]["c0"] == payload["c0"]
@@ -521,39 +504,23 @@ def test_truncate_malformed_depths_is_parse_error(capsys, depths):
     assert "parse error" in err
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["tolerance_bisect = abc", "size_cap = 1.5", "certificate_mode = maybe",
-     "certificate_mode = 2", "certificate_mode ="],
-)
-def test_config_malformed_number_is_parse_error(tmp_path, capsys, line):
-    cfg = tmp_path / "dublo.cfg"
-    cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, "compute", "--family", "petersen", "--config", str(cfg))
-    assert code == EXIT_PARSE
-    assert "parse error" in err
-
-
 # ---------------------------------------------------------------- run settings
 
 # the RunConfig fields each command reads, and an argv that runs the command
 READS = {
-    "compute": ({"tolerance_bisect", "tolerance_eig", "certificate_mode", "size_cap",
-                 "output_format"}, ["--family", "path", "--n", "4"]),
-    "spectral": ({"tolerance_eig", "size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
+    "compute": ({"tolerance_bisect", "certificate_mode", "size_cap", "output_format"},
+                ["--family", "path", "--n", "4"]),
+    "spectral": ({"size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
     "classify": ({"tolerance_bisect", "size_cap", "output_format"},
                  ["--family", "path", "--n", "4"]),
     "family": ({"size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
-    "verify": ({"tolerance_bisect", "tolerance_eig", "size_cap", "output_format"},
-               ["--only", "three_legs"]),
-    "batch": ({"tolerance_bisect", "tolerance_eig", "size_cap", "output_format", "parallelism"},
+    "verify": ({"tolerance_bisect", "size_cap", "output_format"}, ["--only", "three_legs"]),
+    "batch": ({"tolerance_bisect", "size_cap", "output_format", "parallelism"},
               ["--input", "-"]),
-    "truncate": ({"tolerance_eig", "size_cap", "output_format"},
-                 ["--family", "path_N", "--depths", "2"]),
+    "truncate": ({"size_cap", "output_format"}, ["--family", "path_N", "--depths", "2"]),
 }
 SETTING_FLAGS = {
     "tolerance_bisect": ["--tol", "1e-8"],
-    "tolerance_eig": ["--eig-tol", "1e-11"],
     "certificate_mode": ["--certificate"],
     "size_cap": ["--size-cap", "100"],
     "output_format": ["--output", "json"],
@@ -600,9 +567,8 @@ def test_each_command_takes_exactly_the_flags_it_reads(capsys):
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-    assert len(ignored) == 17
+    assert len(ignored) == 15
     assert {c for c, f in ignored if f == "--tol"} == {"spectral", "family", "truncate"}
-    assert {c for c, f in ignored if f == "--eig-tol"} == {"classify", "family"}
     assert {c for c, f in ignored if f == "--certificate"} == set(READS) - {"compute"}
     assert {c for c, f in ignored if f == "--jobs"} == set(READS) - {"batch"}
 
@@ -640,68 +606,21 @@ def test_each_command_reads_the_settings_in_its_table(capsys, monkeypatch):
         assert code == EXIT_OK and read == reads, command
 
 
-def test_every_setting_can_be_set_from_a_config_file(tmp_path):
-    from dublo.cli import RunConfig, build_config, build_parser
-
-    values = {
-        "tolerance_bisect": ("1e-7", 1e-7),
-        "tolerance_eig": ("1e-10", 1e-10),
-        "certificate_mode": ("true", True),
-        "size_cap": ("100", 100),
-        "output_format": ('"text"', "text"),
-        "parallelism": ("3", 3),
-    }
-    assert set(values) == {f.name for f in fields(RunConfig)}
+def test_removed_setting_flags_are_unrecognized_by_every_command(tmp_path, capsys):
+    # the Perron tolerance is the constant spectral.EIG_TOL, and no settings file is read
     cfg = tmp_path / "dublo.cfg"
-    cfg.write_text("".join(f"{name} = {text}\n" for name, (text, _) in values.items()))
-    # spectral takes no --tol, --certificate or --jobs, but reads every config key
-    config = build_config(build_parser().parse_args(["spectral", "--config", str(cfg)]))
-    for f in fields(RunConfig):
-        got = getattr(config, f.name)
-        assert got == values[f.name][1] and type(got) is type(f.default), f.name
+    cfg.write_text("size_cap = 100\n")
+    for command, (_, base) in READS.items():
+        for flag in (["--eig-tol", "1e-3"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *base, *flag])
+            assert exc.value.code == 2, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err, (command, flag)
 
 
-@pytest.mark.parametrize(
-    "text, value",
-    [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)],
-)
-def test_config_file_booleans_are_case_insensitive(tmp_path, text, value):
-    from dublo.cli import build_config, build_parser
-
-    cfg = tmp_path / "dublo.cfg"
-    cfg.write_text(f"certificate_mode = {text}\n")
-    config = build_config(build_parser().parse_args(["compute", "--config", str(cfg)]))
-    assert config.certificate_mode is value
-
-
-@pytest.mark.parametrize("command", sorted(READS))
-def test_config_file_output_format_a_command_cannot_print_is_parse_error(
-    tmp_path, capsys, command
-):
-    unprinted = "text" if command == "batch" else "csv"
-    cfg = tmp_path / "dublo.cfg"
-    cfg.write_text(f"output_format = {unprinted}\n")
-    code, out, err = run_cli(capsys, command, *READS[command][1], "--config", str(cfg))
-    assert code == EXIT_PARSE and out == ""
-    assert "parse error" in err and repr(unprinted) in err
-
-
-@pytest.mark.parametrize(
-    "argv, config",
-    [
-        (["--tol", "nan"], None),
-        (["--tol", "inf"], None),
-        (["--eig-tol", "nan"], None),
-        ([], "tolerance_bisect = nan"),
-    ],
-    ids=["tol-nan", "tol-inf", "eig-tol-nan", "config-tol-nan"],
-)
-def test_non_finite_tolerance_is_validation_error(tmp_path, capsys, argv, config):
-    if config is not None:
-        cfg = tmp_path / "dublo.cfg"
-        cfg.write_text(config + "\n")
-        argv = ["--config", str(cfg)]
-    code, out, err = run_cli(capsys, "compute", "--family", "three_legs", *argv)
+@pytest.mark.parametrize("value", ["nan", "inf"], ids=["tol-nan", "tol-inf"])
+def test_non_finite_tolerance_is_validation_error(capsys, value):
+    code, out, err = run_cli(capsys, "compute", "--family", "three_legs", "--tol", value)
     assert code == EXIT_VALIDATION and out == ""
     assert "finite" in err
 

@@ -75,10 +75,8 @@ def test_feasible_c6_at_3_uniform():
     assert uniform.c_mu == Fraction(3)
 
 
-def test_no_entry_point_takes_a_distance_table():
-    # the table is always the graph's own, from distances(g): no public
-    # function or method of any module takes one
-    taking = []
+def _public_parameters():
+    """(module, "module.qualname(param)", param) of every public function and method."""
     for info in pkgutil.iter_modules(dublo.__path__):
         module = importlib.import_module(f"dublo.{info.name}")
         for name, obj in vars(module).items():
@@ -90,10 +88,30 @@ def test_no_entry_point_takes_a_distance_table():
                 members = [getattr(obj, key) for key in keys]
             for fn in filter(inspect.isroutine, members):
                 for param in inspect.signature(fn).parameters.values():
-                    if param.name == "dt" or "DistanceTable" in str(param.annotation):
-                        taking.append(f"{module.__name__}.{fn.__qualname__}({param.name})")
+                    yield module, f"{module.__name__}.{fn.__qualname__}({param.name})", param
+
+
+def test_no_entry_point_takes_a_distance_table():
+    # the table is always the graph's own, from distances(g): no public
+    # function or method of any module takes one
+    taking = [
+        where
+        for _, where, param in _public_parameters()
+        if param.name == "dt" or "DistanceTable" in str(param.annotation)
+    ]
     assert taking == []
     assert inspect.signature(feasible).parameters["t"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_no_entry_point_takes_a_perron_tolerance():
+    # the Perron bracket closes at the one constant spectral.EIG_TOL: no
+    # eig_tol anywhere, and no tolerance of any kind in the spectral module
+    taking = [
+        where
+        for module, where, param in _public_parameters()
+        if "tol" in param.name and ("eig" in param.name or module.__name__ == "dublo.spectral")
+    ]
+    assert taking == []
 
 
 def test_feasible_rejects_t_below_1():
@@ -807,14 +825,12 @@ def test_oracle_agreement_small():
 
 
 def test_poly_root_three_legs():
-    root = poly_largest_root(THREE_LEGS_POLY)
-    assert root == pytest.approx(THREE_LEGS_ROOT, abs=1e-11)
-    assert root == pytest.approx(2.086130, abs=1e-6)
+    assert poly_largest_root(THREE_LEGS_POLY) == THREE_LEGS_ROOT  # correctly rounded
 
 
 def test_poly_root_e8():
     root = poly_largest_root(E8_RATIO_POLY)
-    assert root == pytest.approx(3.02058, abs=1e-5)
+    assert root == 3.0205833025200155  # correctly rounded
     # independent oracle: numpy companion-matrix roots
     import numpy as np
 
@@ -824,6 +840,13 @@ def test_poly_root_e8():
 
 def test_poly_root_quadratic():
     assert poly_largest_root((1.0, 0.0, -1.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poly_root_repeated_and_close_roots():
+    # a 4096-point sign scan returned -5.0 for the first (its double root
+    # at 1 changes no sign) and found no root of the second (roots 1.0001 apart)
+    assert poly_largest_root((1, 3, -9, 5)) == 1.0  # (x - 1)^2 (x + 5)
+    assert poly_largest_root((10000, -20001, 10001)) == 1.0001  # (x - 1)(10000x - 10001)
 
 
 def test_poly_root_errors():
