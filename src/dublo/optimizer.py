@@ -81,6 +81,10 @@ class FeasibilityProblem:
         self.var_sizes = sizes.astype(float)
         self.n_vars = len(first)
         self._highs = None  # the HiGHS instance, made by the first solve
+        # the last optimal basis: column statuses, the normalisation row's
+        # status, and each imposed row's status by k-major row id
+        self._basis = None
+        self.cold_retries = 0  # warm starts that ended non-optimal and were solved again cold
         # class indicator: vertex v lies in class c exactly when entry (v, c) is 1
         self._indicator = np.equal.outer(self._expand_map, np.arange(self.n_vars)).astype(float)
 
@@ -116,9 +120,10 @@ class FeasibilityProblem:
     ) -> Measure | None:
         """Float LP: minimal max-violation over the weight simplex.
 
-        Solved by HiGHS via scipy's bundled binding, each solve cold.  Imposes
-        the k-major reduced ``rows`` (every row by default), whose counts
-        ``self.rows`` builds for this call only.  With ``scale``, reduced
+        Solved by HiGHS via scipy's bundled binding, each solve warm-started
+        from the last optimal basis (see ``_solve``).  Imposes the k-major
+        reduced ``rows`` (every row by default), whose counts ``self.rows``
+        builds for this call only.  With ``scale``, reduced
         weights x, each row N_i - t D_i is divided by D_i x, its radius-k ball
         mass under x.  Returns a strictly positive measure (min weight 1)
         whose ratios on the imposed rows are re-verified directly against t,
@@ -131,11 +136,12 @@ class FeasibilityProblem:
         """
         if not math.isfinite(t):
             raise ValidationError(f"candidate constant must be finite, got {t!r}")
-        den, num = self.rows(rows)
+        ids = np.arange(self.reduced_rows) if rows is None else np.asarray(rows)
+        den, num = self.rows(ids)
         a = num - t * den
         if scale is not None:
             a /= (den @ scale)[:, None]
-        value, w = self._solve(a)
+        value, w = self._solve(a, ids)
         if value > _FEAS_EPS:
             return None
         if w.min() <= 1e-12 * max(w.max(), 1e-30):
@@ -145,12 +151,19 @@ class FeasibilityProblem:
         full = np.array(self.expand(w))
         return Measure(tuple((full / full.min()).tolist()))
 
-    def _solve(self, a: np.ndarray) -> tuple[float, np.ndarray]:
+    def _solve(self, a: np.ndarray, ids: np.ndarray) -> tuple[float, np.ndarray]:
         """Min s subject to a w <= s, var_sizes . w = 1, w >= 0: (s, w).
 
         The model is dense and column-wise, the weight columns then s, and is
         handed to HiGHS as plain arrays (``passModel``'s array overload, no
-        ``HighsLp`` object).
+        ``HighsLp`` object).  Row j of ``a`` is the k-major row ``ids[j]``.
+
+        The simplex starts from the last optimal basis: every column and the
+        normalisation row keep their status, a row imposed before keeps its
+        own, and a new row starts basic.  That basis is set only when its
+        basic count equals the row count, else the solve is cold.  A warm
+        run that ends other than optimal is run once more cold and counted
+        in ``cold_retries``; a cold run that ends so raises SolverError.
         """
         highs = _highs_binding()
         if not np.isfinite(a).all():  # HiGHS would drop a NaN coefficient unseen
@@ -179,10 +192,27 @@ class FeasibilityProblem:
         )
         if status == highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")  # it would keep the last one
+        keys, warm = ids.tolist(), False
+        if self._basis is not None:
+            cols, norm, known = self._basis
+            basic = highs.HighsBasisStatus.kBasic
+            rows = [known.get(i, basic) for i in keys] + [norm]
+            if (cols + rows).count(basic) == m + 1:
+                basis = highs.HighsBasis()
+                basis.col_status, basis.row_status = cols, rows
+                warm = self._highs.setBasis(basis) != highs.HighsStatus.kError
         self._highs.run()
         status = self._highs.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal and warm:
+            self.cold_retries += 1
+            self._highs.clearSolver()
+            self._highs.run()
+            status = self._highs.getModelStatus()
         if status != highs.HighsModelStatus.kOptimal:
             raise SolverError(f"HiGHS failed: {self._highs.modelStatusToString(status)}")
+        basis = self._highs.getBasis()
+        rows = basis.row_status
+        self._basis = (basis.col_status, rows[m], dict(zip(keys, rows)))
         return self._highs.getObjectiveValue(), np.array(self._highs.getSolution().col_value[:nv])
 
     def reduce(self, mu: Measure) -> np.ndarray:

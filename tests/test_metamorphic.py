@@ -8,6 +8,7 @@ import pytest
 
 from dublo import FamilySpec, Graph, classify_leq3, generate, least_doubling, write_graph6
 from dublo.cli import EXIT_OK, main
+from dublo.optimizer import DEFAULT_BISECT_TOL, LP_SOLVE_CAP
 
 from util import hub_tail, random_connected_graph, relabel
 
@@ -59,3 +60,13 @@ def test_relabelling_keeps_batch_rows(tmp_path, capsys):
             assert r[key] == s[key]
         for key in ("c0", "c_g", "gap"):
             assert s[key] == pytest.approx(r[key], abs=1e-9)
+
+
+def test_relabelling_hub_tail_100_keeps_the_run_under_the_lp_cap():
+    # cold solves hit the cap (SizeCapError, exit 3) on two of these labellings
+    g = hub_tail(100)
+    results = [least_doubling(h) for h in [g] + [relabel(g, random.Random(s)) for s in range(6)]]
+    for res in results:
+        assert res.method_notes["lp_solves"] < LP_SOLVE_CAP
+    c_g = [res.c_g for res in results]
+    assert max(c_g) - min(c_g) <= DEFAULT_BISECT_TOL

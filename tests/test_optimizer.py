@@ -140,14 +140,22 @@ def test_highs_binding_exposes_the_names_check_uses():
     assert _core.ObjSense.kMinimize is not None
     assert _core.HighsModelStatus.kOptimal is not None
     assert _core.HighsStatus.kError is not None
+    assert _core.HighsBasisStatus.kBasic is not None
+    basis = _core.HighsBasis()  # the warm start sets its two status lists
+    assert basis.col_status == basis.row_status == []
     highs = _core._Highs()
     for method in ("setOptionValue", "passModel", "run", "getModelStatus", "modelStatusToString",
-                   "getObjectiveValue", "getSolution"):
+                   "getObjectiveValue", "getSolution", "getBasis", "setBasis", "clearSolver"):
         assert callable(getattr(highs, method)), method
 
 
-def _solve_through_highs_lp(problem: FeasibilityProblem, a: np.ndarray) -> tuple[float, np.ndarray]:
-    """``FeasibilityProblem._solve``'s LP, handed to HiGHS as a ``HighsLp`` object."""
+def _solve_through_highs_lp(
+    problem: FeasibilityProblem, a: np.ndarray, basis
+) -> tuple[float, np.ndarray]:
+    """``FeasibilityProblem._solve``'s LP, handed to HiGHS as a ``HighsLp`` object.
+
+    The simplex starts from ``basis``, or cold when it is None.
+    """
     _core = optimizer._highs_binding()
     highs = _core._Highs()
     highs.setOptionValue("output_flag", False)
@@ -172,30 +180,95 @@ def _solve_through_highs_lp(problem: FeasibilityProblem, a: np.ndarray) -> tuple
     lp.a_matrix_.index_ = np.tile(np.arange(m + 1), nv + 1)
     lp.a_matrix_.value_ = matrix.ravel()
     assert highs.passModel(lp) != _core.HighsStatus.kError
+    if basis is not None:
+        assert highs.setBasis(basis) != _core.HighsStatus.kError
     highs.run()
     assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
     return highs.getObjectiveValue(), np.array(highs.getSolution().col_value[:nv])
 
 
-def test_array_handoff_matches_a_highs_lp_bit_for_bit(monkeypatch):
-    # the same model passed as arrays or as a HighsLp object gives the same answer
-    solve = FeasibilityProblem._solve
-    lps = []  # (problem, scaled row matrix, value, weights) of every LP least_doubling solves
+class _RecordingHighs(optimizer._highs_binding()._Highs):
+    """A HiGHS instance that keeps the basis each solve starts from."""
 
-    def recorded(self, a):
-        value, w = solve(self, a)
-        lps.append((self, a.copy(), value, w))
+    start = None
+
+    def setBasis(self, basis):
+        self.start = basis
+        return super().setBasis(basis)
+
+    def clearSolver(self):
+        self.start = None
+        return super().clearSolver()
+
+
+def test_array_handoff_matches_a_highs_lp_bit_for_bit(monkeypatch):
+    # the same model passed as arrays or as a HighsLp object, from the same
+    # starting basis, gives the same answer
+    solve = FeasibilityProblem._solve
+    lps = []  # (problem, scaled row matrix, start basis, value, weights) of every LP solved
+
+    def recorded(self, a, ids):
+        if self._highs is not None:
+            self._highs.start = None
+        value, w = solve(self, a, ids)
+        lps.append((self, a.copy(), self._highs.start, value, w))
         return value, w
 
+    monkeypatch.setattr(optimizer._highs_binding(), "_Highs", _RecordingHighs)
     monkeypatch.setattr(FeasibilityProblem, "_solve", recorded)
     rand = random.Random(15)
     for _ in range(20):
         least_doubling(random_connected_graph(rand, rand.randint(8, 24), extra=0.1))
     assert len(lps) >= 40
-    for problem, a, value, w in lps:
-        ref_value, ref_w = _solve_through_highs_lp(problem, a)
+    # every solve but each problem's first starts warm
+    assert sum(basis is not None for _, _, basis, _, _ in lps) == len(lps) - 20
+    for problem, a, basis, value, w in lps:
+        ref_value, ref_w = _solve_through_highs_lp(problem, a, basis)
         assert value == ref_value
         assert np.array_equal(w, ref_w)
+
+
+class _FailingHighs(optimizer._highs_binding()._Highs):
+    """A HiGHS instance whose next ``failures`` runs report an error status.
+
+    ``runs`` records, for each run, whether it started from a valid basis.
+    """
+
+    failures = 0
+    failed = False
+    runs = ()
+
+    def run(self):
+        self.runs += (self.getBasis().valid,)
+        self.failed = self.failures > 0
+        self.failures -= self.failed
+        return super().run()
+
+    def getModelStatus(self):
+        if self.failed:
+            return optimizer._highs_binding().HighsModelStatus.kSolveError
+        return super().getModelStatus()
+
+
+def test_a_failed_warm_run_is_retried_cold_once(monkeypatch):
+    monkeypatch.setattr(optimizer._highs_binding(), "_Highs", _FailingHighs)
+    g = generate(FamilySpec("three_legs"))
+    problem = FeasibilityProblem(g)
+    assert problem.check(3.2) is not None
+    assert problem._highs.runs == (False,) and problem.cold_retries == 0  # no basis yet
+    problem._highs.failures = 1
+    found = problem.check(3.1)
+    assert problem._highs.runs == (False, True, False)  # warm, then the retry cold
+    assert problem.cold_retries == 1
+    cold = FeasibilityProblem(g)
+    assert found == cold.check(3.1) and cold._highs.runs == (False,)
+    iterations = [p._highs.getInfo().simplex_iteration_count for p in (problem, cold)]
+    assert iterations[0] == iterations[1] > 0
+    # a cold run that fails is no longer retried
+    problem._highs.failures = 2
+    with pytest.raises(SolverError, match="HiGHS failed"):
+        problem.check(3.15)
+    assert problem._highs.runs[3:] == (True, False) and problem.cold_retries == 2
 
 
 def test_unusable_lp_coefficient_is_a_solver_error():
@@ -211,7 +284,7 @@ def test_unusable_lp_coefficient_is_a_solver_error():
     for bad, reason in ((math.nan, "finite"), (math.inf, "finite"), (1e15, "rejected")):
         a[0, 0] = bad
         with pytest.raises(SolverError, match=reason):
-            problem._solve(a)
+            problem._solve(a, np.arange(problem.reduced_rows))
 
 
 def test_highs_binding_matches_linprog(monkeypatch):
@@ -221,8 +294,8 @@ def test_highs_binding_matches_linprog(monkeypatch):
     solve = FeasibilityProblem._solve
     lps = []  # (problem, scaled row matrix, value) of every LP least_doubling solves
 
-    def recorded(self, a):
-        value, w = solve(self, a)
+    def recorded(self, a, ids):
+        value, w = solve(self, a, ids)
         lps.append((self, a.copy(), value))
         return value, w
 
@@ -269,8 +342,8 @@ def test_refused_lp_answer_is_an_error_not_a_lower_end(monkeypatch, capsys, spoi
 
     solve = FeasibilityProblem._solve
 
-    def spoiled(self, a):
-        value, w = solve(self, a)
+    def spoiled(self, a, ids):
+        value, w = solve(self, a, ids)
         return value, spoil(a, w)
 
     monkeypatch.setattr(FeasibilityProblem, "_solve", spoiled)
