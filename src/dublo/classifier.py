@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SolverError
-from .families import FamilySpec, expected_constant
+from .families import SMITH_TREES, FamilySpec, expected_constant, is_d_hat, is_d_n, spider_legs
 from .graphs import Graph, structural_facts
 from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 
@@ -47,34 +47,6 @@ def structural_lower_bound(g: Graph) -> str | None:
     return None
 
 
-def _leg_lengths(g: Graph, center: int) -> list[int] | None:
-    """Leg lengths of a spider tree seen from its unique branch vertex."""
-    legs = []
-    for start in g.adj[center]:
-        length = 1
-        prev, cur = center, start
-        while g.degree(cur) == 2:
-            nxt = next(w for w in g.adj[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        if g.degree(cur) != 1:
-            return None  # another branch vertex on this arm
-        legs.append(length)
-    return sorted(legs)
-
-
-def _is_d_hat(g: Graph) -> bool:
-    """Two degree-3 vertices joined by a path, two leaves hanging off each."""
-    branch = [v for v in range(g.n) if g.degree(v) == 3]
-    if len(branch) != 2 or max(g.degrees) != 3:
-        return False
-    for b in branch:
-        leaves = sum(1 for w in g.adj[b] if g.degree(w) == 1)
-        if leaves != 2:
-            return False
-    return sum(1 for v in range(g.n) if g.degree(v) == 1) == 4
-
-
 def classify_leq3(
     g: Graph, tol: float = DEFAULT_BISECT_TOL, cross_check: bool = False
 ) -> ClassificationVerdict:
@@ -100,24 +72,23 @@ def classify_leq3(
         verdict, family = "leq3_strict", "L_n"
         reasons.append("path: C < 3")
     elif facts.max_degree >= 4:
-        if facts.max_degree == 4 and g.n == 5 and facts.count_deg_ge3 == 1:
+        if is_d_hat(g):
             verdict, family = "eq3", "D_hat_n"  # the 4-leaf star is the smallest D_hat
             reasons.append("4-leaf star: C = C0 = 3 exactly")
         else:
             verdict = "gt3"
             reasons.append("strictly contains the 4-leaf star, so C0 > 3")
     elif facts.count_deg_ge3 >= 2:
-        if _is_d_hat(g):
+        if is_d_hat(g):
             verdict, family = "eq3", "D_hat_n"
             reasons.append("D_hat tree: C = C0 = 3 exactly")
         else:
             verdict = "gt3"
             reasons.append("tree strictly containing a D_hat tree, so C0 > 3")
     else:
-        center = next(v for v in range(g.n) if g.degree(v) == 3)
-        legs = _leg_lengths(g, center)
-        assert legs is not None  # single branch vertex, so every arm ends in a leaf
-        if legs[:2] == [1, 1]:
+        legs = spider_legs(g)  # a tree with one branch vertex is a spider
+        tree = next((name for name, t in SMITH_TREES.items() if t.legs == legs), None)
+        if is_d_n(g):
             numeric = least_doubling(g, tol)
             if numeric.c_g < 3 - _D_STRICT_MARGIN:
                 verdict, family = "leq3_strict", "D_n"
@@ -127,20 +98,17 @@ def classify_leq3(
             else:
                 verdict, family = "eq3", "D_n"
                 reasons.append("D-family tree: C <= 3 always, value within margin of 3")
-        elif legs == [1, 2, 2]:
-            verdict, family = "leq3_strict", "E6"
-            reasons.append("E6 tree: C < 3")
-        elif legs == [1, 2, 3]:
-            verdict, family = "leq3_strict", "E7"
-            reasons.append("E7 tree: C < 3")
-        elif legs == [1, 2, 4]:
+        elif tree in ("e6", "e7"):
+            verdict, family = "leq3_strict", tree.upper()
+            reasons.append(f"{family} tree: C < 3")
+        elif tree == "e8":
             verdict = "gt3"
             reasons.append(
                 "E8 tree: spectral radius below 2 but "
                 f"C >= {expected_constant(FamilySpec('e8')).c_g:.7f} "
                 "(largest root of its ratio polynomial)"
             )
-        elif legs in ([2, 2, 2], [1, 3, 3], [1, 2, 5]):
+        elif tree is not None:
             verdict = "gt3"
             reasons.append(
                 "extended tree with spectral radius exactly 2 but C > 3"

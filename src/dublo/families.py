@@ -1,25 +1,29 @@
 """Generators for every named graph family, expected constants, truncations.
 
-This module is the one home of the closed forms: ``expected_constant`` states
-C_G and C0 for every family that has one, and ``smith_c0_table`` holds the
-spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number) behind the
-generators' self-checks, the expected C0 values and ``dublo verify``.
+This module is the one home of the family facts: each family's parameter
+minimums (enforced by ``FamilySpec``), the Smith trees' legs and Coxeter
+numbers (``SMITH_TREES``), and the closed forms: ``expected_constant``
+states C_G and C0 for every family that has one, and ``smith_c0_table`` holds
+the spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number).
 
 Each generator re-validates its output (degrees and edge counts, which with
 connectivity pin the simple families and their diameters, strongly-regular
-parameters or spectral closed form, as appropriate) and fails loudly on a
-mismatch, so a construction bug cannot silently ship a wrong catalog graph.
-The sporadic graphs are embedded as verified edge lists; for those the
-validated invariants pin the isomorphism class.  The Doyle graph's check is
-a stored witness: two automorphisms whose orbit closure is every vertex, so
-it is vertex-transitive and its diameter is one vertex's eccentricity.  No
+parameters or tree shape, as appropriate) and fails loudly on a mismatch, so
+a construction bug cannot silently ship a wrong catalog graph.  The sporadic
+graphs are embedded as verified edge lists; for those the validated
+invariants pin the isomorphism class.  The Doyle graph's check is a stored
+witness: two automorphisms whose orbit closure is every vertex, so it is
+vertex-transitive and its diameter is one vertex's eccentricity.  No
 generator searches for automorphisms.
 
 Dynkin-style conventions used here: D_n is a path on n-1 vertices with an
 extra leaf on its second vertex; E_k is a path on k-1 vertices with an extra
 leaf on its third vertex; the hatted (extended) versions are the trees with
-adjacency spectral radius exactly 2.  Each is checked against its spectral
-closed form at construction, which is the convention-independent ground truth.
+adjacency spectral radius exactly 2.  The D and E trees and their extensions
+are pinned up to isomorphism by the recognizers ``spider_legs``, ``is_d_n``
+and ``is_d_hat``, which the classifier also uses to name them; no generator
+computes a spectrum.  That the pinned trees have the radii of
+``smith_c0_table`` is checked by ``dublo verify``'s ``smith_c0_table`` row.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .doubling import Measure, counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
@@ -116,30 +120,32 @@ def _rank_float(rank: int) -> float:
     return math.copysign(struct.unpack("<d", abs(rank).to_bytes(8, "little"))[0], rank)
 
 
-FAMILY_NAMES = (
-    "complete",
-    "star",
-    "cycle",
-    "path",
-    "complete_bipartite",
-    "wheel",
-    "friendship",
-    "cocktail_party",
-    "petersen",
-    "hoffman_singleton",
-    "clebsch",
-    "d_n",
-    "d_hat_n",
-    "e6",
-    "e7",
-    "e8",
-    "e6_hat",
-    "e7_hat",
-    "e8_hat",
-    "three_legs",
-    "doyle",
-    "grid_ray_truncation",
-)
+# every family and the minimum of each parameter it takes; FamilySpec enforces it
+_FAMILY_PARAMS: dict[str, dict[str, int]] = {
+    "complete": {"n": 1},
+    "star": {"n": 1},
+    "cycle": {"n": 3},
+    "path": {"n": 1},
+    "complete_bipartite": {"m": 1, "n": 1},
+    "wheel": {"n": 4},
+    "friendship": {"n": 1},
+    "cocktail_party": {"n": 2},
+    "petersen": {},
+    "hoffman_singleton": {},
+    "clebsch": {},
+    "d_n": {"n": 4},
+    "d_hat_n": {"n": 5},
+    "e6": {},
+    "e7": {},
+    "e8": {},
+    "e6_hat": {},
+    "e7_hat": {},
+    "e8_hat": {},
+    "three_legs": {},
+    "doyle": {},
+    "grid_ray_truncation": {"depth": 1},
+}
+FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 
 _DOYLE_EDGES = (
     (0, 5), (0, 7), (0, 22), (0, 26), (1, 3), (1, 8), (1, 23), (1, 24), (2, 4), (2, 6),
@@ -194,6 +200,10 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_NAMES:
             raise ValidationError(f"unknown family {self.family!r}")
+        for param, minimum in _FAMILY_PARAMS[self.family].items():
+            value = getattr(self, param)
+            if value is None or value < minimum:
+                raise ValidationError(f"family {self.family!r} needs {param} >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -210,18 +220,60 @@ def _fail(spec: FamilySpec, what: str) -> None:
     raise ValidationError(f"self-check failed for {spec}: {what}")
 
 
-def _need_n(spec: FamilySpec, minimum: int) -> int:
-    if spec.n is None or spec.n < minimum:
-        raise ValidationError(f"family {spec.family!r} needs n >= {minimum}")
-    return spec.n
+class SmithTree(NamedTuple):
+    legs: tuple[int, ...]  # sorted leg lengths of the spider
+    coxeter: int | None  # h with radius 2cos(pi/h); None for radius exactly 2
 
 
-_HATTED_LEGS = {
-    "e6_hat": (2, 2, 2),
-    "three_legs": (2, 2, 2),
-    "e7_hat": (1, 3, 3),
-    "e8_hat": (1, 2, 5),
+# the exceptional Smith trees; D_n and D_hat_n are the recognizers below
+SMITH_TREES = {
+    "e6": SmithTree((1, 2, 2), 12),
+    "e7": SmithTree((1, 2, 3), 18),
+    "e8": SmithTree((1, 2, 4), 30),
+    "e6_hat": SmithTree((2, 2, 2), None),
+    "e7_hat": SmithTree((1, 3, 3), None),
+    "e8_hat": SmithTree((1, 2, 5), None),
 }
+SMITH_TREES["three_legs"] = SMITH_TREES["e6_hat"]  # the same tree under its paper name
+
+
+def spider_legs(g: Graph) -> tuple[int, ...] | None:
+    """Sorted leg lengths if g is a spider (a tree with one vertex of degree >= 3), else None.
+
+    A spider is its legs up to isomorphism, so equal legs pin the tree.
+    """
+    facts = structural_facts(g)
+    if facts.has_cycle or facts.count_deg_ge3 != 1:
+        return None
+    center = next(v for v in range(g.n) if g.degree(v) >= 3)
+    legs = []
+    for start in g.adj[center]:
+        length, prev, cur = 1, center, start
+        while g.degree(cur) == 2:
+            prev, cur = cur, next(w for w in g.adj[cur] if w != prev)
+            length += 1
+        legs.append(length)
+    return tuple(sorted(legs))
+
+
+def is_d_n(g: Graph) -> bool:
+    """g is D_n: a spider with legs (1, 1, k)."""
+    legs = spider_legs(g)
+    return legs is not None and len(legs) == 3 and legs[:2] == (1, 1)
+
+
+def is_d_hat(g: Graph) -> bool:
+    """g is D_hat_n: a tree whose four leaves each hang off a vertex of degree >= 3.
+
+    A tree with four leaves has one vertex of degree 4 (then, all leaves at
+    it, the 4-leaf star) or two of degree 3, each then holding two leaves.
+    """
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    return (
+        not structural_facts(g).has_cycle
+        and len(leaves) == 4
+        and all(g.degree(g.adj[v][0]) >= 3 for v in leaves)
+    )
 
 
 def _legs_tree(legs: tuple[int, ...], cap: int) -> Graph:
@@ -236,10 +288,6 @@ def _legs_tree(legs: tuple[int, ...], cap: int) -> Graph:
     return Graph.from_edges(nxt, edges, cap=cap)
 
 
-_COXETER = {"e6": 12, "e7": 18, "e8": 30}
-_RADIUS_TWO = ("cycle", "d_hat_n", *_HATTED_LEGS)
-
-
 def smith_c0_table(spec: FamilySpec) -> float:
     """Closed-form C0 for the spectral-radius-two catalog and its neighbors.
 
@@ -248,23 +296,17 @@ def smith_c0_table(spec: FamilySpec) -> float:
     trees have radius exactly 2 (Smith's theorem).
     """
     fam = spec.family
-    if fam in _RADIUS_TWO:
+    if fam in ("cycle", "d_hat_n"):
         return 3.0
     if fam == "path":
-        coxeter = _need_n(spec, 1) + 1
+        coxeter = spec.n + 1
     elif fam == "d_n":
-        coxeter = 2 * (_need_n(spec, 4) - 1)
-    elif fam in _COXETER:
-        coxeter = _COXETER[fam]
+        coxeter = 2 * (spec.n - 1)
+    elif fam in SMITH_TREES:
+        coxeter = SMITH_TREES[fam].coxeter
     else:
         raise ValidationError(f"no Smith closed form for family {fam!r}")
-    return 1 + 2 * math.cos(math.pi / coxeter)
-
-
-def _check_radius(spec: FamilySpec, g: Graph) -> None:
-    c0, expected = perron(g).c0, smith_c0_table(spec)
-    if abs(c0 - expected) > 1e-9:
-        _fail(spec, f"spectral C0 {c0} != {expected}")
+    return 3.0 if coxeter is None else 1 + 2 * math.cos(math.pi / coxeter)
 
 
 def _check_srg(spec: FamilySpec, g: Graph, n: int, k: int, lam: int, mu: int) -> None:
@@ -291,38 +333,32 @@ def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
 
 def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Build the family member and run its structural self-check."""
-    fam = spec.family
+    fam, n = spec.family, spec.n
     if fam == "complete":
-        n = _need_n(spec, 1)
         g = Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)), cap=cap)
         # every vertex adjacent to all others is K_n
         if n >= 2 and set(g.degrees) != {n - 1}:
             _fail(spec, "complete graph structure")
         return g
     if fam == "star":
-        n = _need_n(spec, 1)
         g = Graph.from_edges(n + 1, ((0, i) for i in range(1, n + 1)), cap=cap)
         if sorted(g.degrees, reverse=True) != [n] + [1] * n:
             _fail(spec, "star degrees")
         return g
     if fam == "cycle":
-        n = _need_n(spec, 3)
         g = Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), cap=cap)
         # a connected 2-regular graph is C_n
         if set(g.degrees) != {2} or g.m != n:
             _fail(spec, "cycle structure")
         return g
     if fam == "path":
-        n = _need_n(spec, 1)
         g = Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), cap=cap)
         # a connected tree (m = n - 1) of maximum degree <= 2 is P_n
         if g.m != n - 1 or (n >= 2 and max(g.degrees) > 2):
             _fail(spec, "path structure")
         return g
     if fam == "complete_bipartite":
-        if spec.m is None or spec.n is None or spec.m < 1 or spec.n < 1:
-            raise ValidationError("complete_bipartite needs m >= 1 and n >= 1")
-        m, n = spec.m, spec.n
+        m = spec.m
         g = Graph.from_edges(
             m + n, ((i, m + j) for i in range(m) for j in range(n)), cap=cap
         )
@@ -330,7 +366,6 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
             _fail(spec, "bipartite degrees")
         return g
     if fam == "wheel":
-        n = _need_n(spec, 4)
         spokes = ((0, i) for i in range(1, n))
         rim = ((i, i % (n - 1) + 1) for i in range(1, n))
         g = Graph.from_edges(n, chain(spokes, rim), cap=cap)
@@ -339,7 +374,6 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
             _fail(spec, "wheel degrees")
         return g
     if fam == "friendship":
-        n = _need_n(spec, 1)
         edges = (e for a in range(1, 2 * n, 2) for e in ((0, a), (0, a + 1), (a, a + 1)))
         g = Graph.from_edges(2 * n + 1, edges, cap=cap)
         # the hub reaches every vertex, so the diameter is 2 unless all degrees are 2n
@@ -347,7 +381,6 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
             _fail(spec, "friendship degrees")
         return g
     if fam == "cocktail_party":
-        n = _need_n(spec, 2)
         edges = (
             (i, j)
             for i in range(2 * n)
@@ -380,28 +413,28 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
         _check_srg(spec, g, 16, 5, 0, 2)
         return g
     if fam == "d_n":
-        n = _need_n(spec, 4)
         edges = chain(((i, i + 1) for i in range(n - 2)), [(1, n - 1)])
         g = Graph.from_edges(n, edges, cap=cap)
-        _check_radius(spec, g)
+        if not is_d_n(g):
+            _fail(spec, "not a spider with legs (1, 1, k)")
         return g
     if fam == "d_hat_n":
-        n = _need_n(spec, 5)
         core = n - 4
         legs = [(0, core), (0, core + 1), (core - 1, core + 2), (core - 1, core + 3)]
         edges = chain(((i, i + 1) for i in range(core - 1)), legs)
         g = Graph.from_edges(n, edges, cap=cap)
-        _check_radius(spec, g)
+        if not is_d_hat(g):
+            _fail(spec, "not a tree with its four leaves at vertices of degree >= 3")
         return g
-    if fam in ("e6", "e7", "e8"):
-        k = {"e6": 6, "e7": 7, "e8": 8}[fam]
-        edges = [(i, i + 1) for i in range(k - 2)] + [(2, k - 1)]
-        g = Graph.from_edges(k, edges, cap=cap)
-        _check_radius(spec, g)
-        return g
-    if fam in _HATTED_LEGS:
-        g = _legs_tree(_HATTED_LEGS[fam], cap)
-        _check_radius(spec, g)
+    if fam in SMITH_TREES:
+        legs = SMITH_TREES[fam].legs
+        if fam in ("e6", "e7", "e8"):
+            k = {"e6": 6, "e7": 7, "e8": 8}[fam]
+            g = Graph.from_edges(k, [(i, i + 1) for i in range(k - 2)] + [(2, k - 1)], cap=cap)
+        else:
+            g = _legs_tree(legs, cap)
+        if spider_legs(g) != legs:
+            _fail(spec, f"not a spider with legs {legs}")
         return g
     if fam == "doyle":
         g = Graph.from_edges(27, _DOYLE_EDGES, cap=cap)
@@ -416,8 +449,6 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
             _fail(spec, "doyle diameter")
         return g
     if fam == "grid_ray_truncation":
-        if spec.depth is None or spec.depth < 1:
-            raise ValidationError("grid_ray_truncation needs depth >= 1")
         g, _ = grid_ray_truncation(spec.depth, cap=cap)
         return g
     raise ValidationError(f"no generator for family {spec.family!r}")
@@ -459,15 +490,12 @@ def grid_ray_truncation(depth: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[Graph,
 
 def expected_constant(spec: FamilySpec) -> ExpectedConstant:
     """Closed-form constants stated for the family, with a provenance flag."""
-    fam = spec.family
+    fam, n = spec.family, spec.n
     if fam == "complete":
-        n = _need_n(spec, 1)
         return ExpectedConstant(float(n), float(n), "exact", Fraction(n))
     if fam == "star":
-        n = _need_n(spec, 1)
         return ExpectedConstant(1 + math.sqrt(n), 1 + math.sqrt(n), "exact")
     if fam == "cycle":
-        _need_n(spec, 3)
         return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
     if fam == "path":
         return ExpectedConstant(
@@ -475,19 +503,14 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
             note="C < 3 with C -> 3 as n grows; C equals c0 iff n <= 8",
         )
     if fam == "complete_bipartite":
-        if spec.m is None or spec.n is None:
-            raise ValidationError("complete_bipartite needs m and n")
-        value = 1 + math.sqrt(spec.m * spec.n)
+        value = 1 + math.sqrt(spec.m * n)
         return ExpectedConstant(value, value, "exact")
     if fam == "wheel":
-        n = _need_n(spec, 4)
         return ExpectedConstant(2 + math.sqrt(n), 2 + math.sqrt(n), "exact")
     if fam == "friendship":
-        n = _need_n(spec, 1)
         value = 1 + 0.5 * (1 + math.sqrt(1 + 8 * n))
         return ExpectedConstant(value, value, "exact")
     if fam == "cocktail_party":
-        n = _need_n(spec, 2)
         return ExpectedConstant(float(2 * n - 1), float(2 * n - 1), "exact", Fraction(2 * n - 1))
     if fam == "petersen":
         return ExpectedConstant(4.0, 4.0, "exact", Fraction(4))
@@ -508,7 +531,6 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
             note="upper bound 3 is known exactly; strictness is reported numerically per n",
         )
     if fam == "d_hat_n":
-        _need_n(spec, 5)
         return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
     if fam in ("e6", "e7"):
         return ExpectedConstant(
@@ -594,8 +616,7 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
 
 def d_infinity_measure(g: Graph) -> Measure:
     """The weights (1 on the two fork leaves, 2 elsewhere) used for D-type trees."""
-    facts = structural_facts(g)
-    if facts.max_degree != 3 or facts.has_cycle:
+    if not is_d_n(g):
         raise ValidationError("d_infinity measure expects a D_n tree")
     branch = next(v for v in range(g.n) if g.degree(v) == 3)
     fork_leaves = [v for v in g.adj[branch] if g.degree(v) == 1]

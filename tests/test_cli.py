@@ -474,13 +474,25 @@ def _count_perron_calls(monkeypatch) -> list:
     return calls
 
 
-def test_compute_calls_perron_once(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "tree.txt"
-    path.write_text("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n")
+@pytest.mark.parametrize(
+    "argv, graphs",
+    [
+        (("compute", "--input", "tree.txt"), 1),
+        (("compute", "--family", "e6", "--certificate"), 1),
+        (("spectral", "--family", "d_n", "--n", "30"), 1),
+        (("classify", "--family", "d_n", "--n", "12", "--cross-check"), 1),
+        (("truncate", "--family", "d_infinity", "--depths", "4,8"), 2),
+    ],
+    ids=["compute", "compute-e6-certificate", "spectral-d_n", "classify-cross-check", "truncate"],
+)
+def test_compute_calls_perron_once(tmp_path, capsys, monkeypatch, argv, graphs):
+    # one Perron pass per graph: building a family member computes no spectrum
+    (tmp_path / "tree.txt").write_text("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n")
+    monkeypatch.chdir(tmp_path)
     calls = _count_perron_calls(monkeypatch)
-    code, _, _ = run_cli(capsys, "compute", "--input", str(path))
+    code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == graphs
 
 
 def test_batch_line_calls_perron_once(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from dublo import (
     perron,
     truncation_study,
 )
-from dublo.families import FamilySpec, d_infinity_measure, grid_ray_truncation
+from dublo.families import FAMILY_NAMES, FamilySpec, d_infinity_measure, grid_ray_truncation
 
 
 def test_unknown_family_rejected():
@@ -47,6 +47,17 @@ def test_doyle_self_check_rejects_a_witness_that_is_not_an_automorphism(monkeypa
     monkeypatch.setattr(families, "_DOYLE_WITNESS", (tuple(swapped), other))
     with pytest.raises(ValidationError, match="not an automorphism"):
         generate(FamilySpec("doyle"))
+
+
+def test_smith_self_check_rejects_a_tree_with_other_legs(monkeypatch):
+    from dublo import families
+
+    e7 = families.SMITH_TREES["e7"]
+    monkeypatch.setitem(
+        families.SMITH_TREES, "e7", e7._replace(legs=families.SMITH_TREES["e8"].legs)
+    )
+    with pytest.raises(ValidationError, match="self-check failed"):
+        generate(FamilySpec("e7"))
 
 
 @pytest.mark.parametrize(
@@ -117,6 +128,38 @@ def test_invalid_params():
         generate(FamilySpec("d_n", n=3))
     with pytest.raises(ValidationError):
         generate(FamilySpec("complete_bipartite", m=0, n=2))
+
+
+# the parameters each family takes, at their least values
+MINIMUMS = {
+    "complete": {"n": 1},
+    "star": {"n": 1},
+    "cycle": {"n": 3},
+    "path": {"n": 1},
+    "complete_bipartite": {"m": 1, "n": 1},
+    "wheel": {"n": 4},
+    "friendship": {"n": 1},
+    "cocktail_party": {"n": 2},
+    "d_n": {"n": 4},
+    "d_hat_n": {"n": 5},
+    "grid_ray_truncation": {"depth": 1},
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_spec_enforces_each_parameter_minimum(family):
+    need = MINIMUMS.get(family, {})
+    assert generate(FamilySpec(family, **need)).n >= 1
+    for param, minimum in need.items():
+        for bad in (minimum - 1, None):
+            with pytest.raises(ValidationError, match=f"needs {param} >= {minimum}"):
+                FamilySpec(family, **{**need, param: bad})
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (-1, 3), (3, 0)])
+def test_expected_constant_refuses_what_generate_refuses(m, n):
+    with pytest.raises(ValidationError, match="complete_bipartite"):
+        expected_constant(FamilySpec("complete_bipartite", m=m, n=n))
 
 
 def test_every_catalog_family_passes_self_check():
@@ -269,6 +312,23 @@ def test_truncation_d_infinity_measure_exactly_3():
     assert sorted(mu.weights)[:2] == [1, 1] and set(mu.weights) == {1, 2}
     report = doubling_report(g, mu=mu)
     assert report.c_mu == Fraction(3)  # exact rational evaluation
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("e6"),
+        FamilySpec("e8_hat"),
+        FamilySpec("d_hat_n", n=8),
+        FamilySpec("d_hat_n", n=5),
+        FamilySpec("path", n=5),
+        FamilySpec("cycle", n=6),
+    ],
+    ids=["e6", "e8_hat", "d_hat_8", "d_hat_5", "path_5", "cycle_6"],
+)
+def test_d_infinity_measure_refuses_every_other_graph(spec):
+    with pytest.raises(ValidationError, match="expects a D_n tree"):
+        d_infinity_measure(generate(spec))
 
 
 def test_grid_ray_counts_match_closed_form():
