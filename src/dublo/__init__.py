@@ -13,11 +13,8 @@ from .doubling import (
     Measure,
     counting_measure,
     doubling_report,
-    dump_measure_text,
     load_measure_text,
     max_radius_index,
-    mediant_max,
-    restricted_constant,
 )
 from .errors import DubloError, ParseError, SizeCapError, SolverError, ValidationError
 from .families import (
@@ -36,7 +33,6 @@ from .graphs import (
     Graph,
     StructuralFacts,
     ball,
-    ball_matrix,
     distances,
     parse_edge_list,
     parse_graph6,
@@ -44,29 +40,24 @@ from .graphs import (
     write_graph6,
 )
 from .optimizer import (
-    BruteForceResult,
     Certificate,
     FeasibilityProblem,
     OptimizationResult,
-    brute_force_cg,
-    brute_force_details,
     check_lemachorra,
     feasible,
     least_doubling,
 )
-from .spectral import SpectralResult, c0_constant, chromatic_number, perron, perron_measure
+from .spectral import SpectralResult, perron
 from .symmetry import (
     OrbitPartition,
     automorphisms,
     is_vertex_transitive,
     orbit_partition,
-    symmetrize,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteForceResult",
     "Certificate",
     "ClassificationVerdict",
     "DistanceTable",
@@ -87,18 +78,12 @@ __all__ = [
     "ValidationError",
     "automorphisms",
     "ball",
-    "ball_matrix",
-    "brute_force_cg",
-    "brute_force_details",
-    "c0_constant",
     "catalog",
     "check_lemachorra",
-    "chromatic_number",
     "classify_leq3",
     "counting_measure",
     "distances",
     "doubling_report",
-    "dump_measure_text",
     "expected_constant",
     "feasible",
     "generate",
@@ -107,18 +92,14 @@ __all__ = [
     "least_doubling",
     "load_measure_text",
     "max_radius_index",
-    "mediant_max",
     "orbit_partition",
     "parse_edge_list",
     "parse_graph6",
     "perron",
-    "perron_measure",
     "poly_largest_root",
-    "restricted_constant",
     "smith_c0_table",
     "structural_facts",
     "structural_lower_bound",
-    "symmetrize",
     "truncation_study",
     "write_graph6",
 ]

@@ -1,8 +1,9 @@
 """Command-line surface: compute, spectral, classify, family, verify, batch, truncate.
 
 All machine output carries the schema tag "dublo/2"; floats are printed with
-12 significant digits and exact rationals as "p/q" strings, so identical
-inputs and configuration produce byte-identical reports.
+12 significant digits (a bracket rounded outward, every other float to
+nearest) and exact rationals as "p/q" strings, so identical inputs and
+configuration produce byte-identical reports.
 
 Each run setting is one flag; the vertex cap falls back to DUBLO_SIZE_CAP,
 then to the library default.  The Perron tolerance is not a setting: it is
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import json
 import math
@@ -128,6 +130,17 @@ def _round_floats(obj):
     return obj
 
 
+def _outward(bracket: tuple[float, float]) -> list[float]:
+    """The bracket's ends to 12 significant digits, the lower rounded down, the upper up.
+
+    So the printed interval contains the computed one.
+    """
+    return [
+        float(decimal.Context(prec=12, rounding=rounding).create_decimal_from_float(end))
+        for end, rounding in zip(bracket, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
+    ]
+
+
 def emit(payload: dict, config: RunConfig, text_lines: list[str] | None = None) -> None:
     if config.output_format == "text" and text_lines is not None:
         for line in text_lines:
@@ -160,6 +173,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         g, tol=config.tolerance_bisect, certificate=config.certificate_mode
     )
     class_sizes = sorted(Counter(result.classes).values())
+    bracket = _outward(result.bracket)
     payload = {
         "schema": SCHEMA,
         "n": g.n,
@@ -168,7 +182,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "c0": result.lower_bound_spectral,
         "c_g": result.c_g,
         "c_g_exact": result.c_g_exact,
-        "bracket": list(result.bracket),
+        "bracket": bracket,
         "minimizer": list(result.minimizer.weights),
         "class_count": len(class_sizes),
         "class_sizes": class_sizes,
@@ -197,7 +211,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         text_lines=[
             f"n={g.n} diam={dt.diam}",
             f"c0  = {result.lower_bound_spectral:.12g}",
-            f"c_g = {result.c_g:.12g}  bracket=({result.bracket[0]:.12g}, {result.bracket[1]:.12g})",
+            f"c_g = {result.c_g:.12g}  bracket=({bracket[0]:.12g}, {bracket[1]:.12g})",
         ],
     )
     return EXIT_OK

@@ -16,7 +16,6 @@ reads the certificate's per-row slacks from the same table.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -60,17 +59,6 @@ class Measure:
     def is_exact(self) -> bool:
         return all(isinstance(w, Rational) for w in self.weights)
 
-    def mass(self, vertices) -> Weight:
-        return sum(self.weights[v] for v in vertices)
-
-    def scaled(self, alpha: Weight) -> "Measure":
-        return Measure(tuple(alpha * w for w in self.weights))
-
-    def plus(self, other: "Measure") -> "Measure":
-        if len(other) != len(self):
-            raise ValidationError("measure lengths differ")
-        return Measure(tuple(a + b for a, b in zip(self.weights, other.weights)))
-
     def as_array(self) -> np.ndarray:
         return np.array([float(w) for w in self.weights], dtype=np.float64)
 
@@ -97,17 +85,6 @@ class DoublingReport:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.c_mu, Rational)
-
-
-def restricted_constant(g: Graph, mu: Measure, k: int) -> tuple[Weight, int]:
-    """max over centers v of mu(B(v, 2k+1)) / mu(B(v, k)), with its witness.
-
-    Ties go to the smallest vertex index.  Exact measures give exact ratios.
-    """
-    report = doubling_report(g, mu=mu)
-    if not 0 <= k <= report.k_max:
-        raise ValidationError(f"radius index {k} outside 0..{report.k_max}")
-    return tuple(report.per_k[k][1:])
 
 
 # mu is keyword-only: perfbench/tracer.py reads it as args[2] when given, else kwargs["mu"]
@@ -194,33 +171,6 @@ def exact_slacks(
     return t, tuple(Fraction(int(s), q * scale) for s in (p * den - q * num).T.ravel())
 
 
-class MediantResult(NamedTuple):
-    value: Weight
-    mediant: Weight
-    equal: bool
-
-
-def mediant_max(pairs: Sequence[tuple[Weight, Weight]]) -> MediantResult:
-    """Largest ratio among positive (numerator, denominator) pairs.
-
-    Always >= the mediant (sum of numerators over sum of denominators), with
-    equality exactly when all ratios coincide.
-    """
-    if not pairs:
-        raise ValidationError("mediant_max needs at least one pair")
-    exact = all(isinstance(x, Rational) for pair in pairs for x in pair)
-    div = Fraction if exact else operator.truediv
-    ratios: list[Weight] = []
-    for a, b in pairs:
-        if a <= 0 or b <= 0:
-            raise ValidationError(f"non-positive entry in pair ({a}, {b})")
-        ratios.append(div(a, b))
-    value = max(ratios)
-    mediant = div(sum(a for a, _ in pairs), sum(b for _, b in pairs))
-    equal = all(abs(r - value) <= (0 if exact else 1e-12) * abs(value) for r in ratios)
-    return MediantResult(value, mediant, equal)
-
-
 def _parse_weight(token: str) -> Weight:
     if "/" in token:
         num, _, den = token.partition("/")
@@ -270,14 +220,3 @@ def load_measure_text(text: str, g: Graph) -> Measure:
     if missing:
         raise ParseError(f"missing weights for vertices {missing}")
     return Measure(tuple(weights[v] for v in range(g.n)))
-
-
-def dump_measure_text(mu: Measure, g: Graph) -> str:
-    lines = []
-    for v, w in enumerate(mu.weights):
-        token = g.label_of(v)
-        if isinstance(w, Fraction):
-            lines.append(f"{token} {w.numerator}/{w.denominator}")
-        else:
-            lines.append(f"{token} {w!r}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Generators for every named graph family, expected constants, truncations.
 
-This module is the one home of the family facts: each family's parameter
-minimums (enforced by ``FamilySpec``), the Smith trees' legs and Coxeter
+This module is the one home of the family facts: each family's parameters
+and their minimums (enforced by ``FamilySpec``, which also rejects a
+parameter the family does not take), the Smith trees' legs and Coxeter
 numbers (``SMITH_TREES``), and the closed forms: ``expected_constant``
 states C_G and C0 for every family that has one, and ``smith_c0_table`` holds
 the spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number).
@@ -120,7 +121,8 @@ def _rank_float(rank: int) -> float:
     return math.copysign(struct.unpack("<d", abs(rank).to_bytes(8, "little"))[0], rank)
 
 
-# every family and the minimum of each parameter it takes; FamilySpec enforces it
+# every family and the minimum of each parameter it takes; FamilySpec enforces it and
+# rejects any other parameter
 _FAMILY_PARAMS: dict[str, dict[str, int]] = {
     "complete": {"n": 1},
     "star": {"n": 1},
@@ -200,10 +202,14 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_NAMES:
             raise ValidationError(f"unknown family {self.family!r}")
-        for param, minimum in _FAMILY_PARAMS[self.family].items():
+        takes = _FAMILY_PARAMS[self.family]
+        for param in ("n", "m", "depth"):
             value = getattr(self, param)
-            if value is None or value < minimum:
-                raise ValidationError(f"family {self.family!r} needs {param} >= {minimum}")
+            if param not in takes:
+                if value is not None:
+                    raise ValidationError(f"family {self.family!r} takes no parameter {param}")
+            elif value is None or value < takes[param]:
+                raise ValidationError(f"family {self.family!r} needs {param} >= {takes[param]}")
 
 
 @dataclass(frozen=True)
@@ -555,7 +561,14 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
     raise ValidationError(f"family {spec.family!r} has no stated constant")
 
 
-TRUNCATION_FAMILIES = ("path_N", "path_Z", "d_infinity", "grid_ray")
+# each truncation family's member at a depth, so the family table checks every depth
+_TRUNCATIONS = {
+    "path_N": lambda depth: FamilySpec("path", n=depth),
+    "path_Z": lambda depth: FamilySpec("path", n=2 * depth + 1),
+    "d_infinity": lambda depth: FamilySpec("d_n", n=depth),
+    "grid_ray": lambda depth: FamilySpec("grid_ray_truncation", depth=depth),
+}
+TRUNCATION_FAMILIES = tuple(_TRUNCATIONS)
 
 
 def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
@@ -564,16 +577,18 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
     Per depth: the truncation's c0 (monotone non-decreasing along the chain)
     and a counting-measure record; for grid_ray the record is the ball-count
     ratio at the probe vertex (0,0,depth), in both the (2k+1, k) and the
-    (2k, k) radius pairings.
+    (2k, k) radius pairings.  Every depth's ``FamilySpec`` is checked before
+    any graph is built.
     """
     if family not in TRUNCATION_FAMILIES:
         raise ValidationError(f"unknown truncation family {family!r}")
     if not depths or any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValidationError("depths must be strictly increasing")
+    specs = [_TRUNCATIONS[family](depth) for depth in depths]
     records = []
-    for depth in depths:
+    for depth, spec in zip(depths, specs):
         if family == "grid_ray":
-            g, probe = grid_ray_truncation(depth, cap=cap)
+            g, probe = grid_ray_truncation(spec.depth, cap=cap)
             dist = single_source(g, probe)
             ball_k = sum(1 for d in dist if d <= depth)
             ball_2k = sum(1 for d in dist if d <= 2 * depth)
@@ -591,16 +606,7 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
                 }
             )
             continue
-        if family == "path_N":
-            if depth < 1:
-                raise ValidationError("path_N depths must be >= 1")
-            g = generate(FamilySpec("path", n=depth), cap=cap)
-        elif family == "path_Z":
-            g = generate(FamilySpec("path", n=2 * depth + 1), cap=cap)
-        else:  # d_infinity
-            if depth < 4:
-                raise ValidationError("d_infinity depths must be >= 4")
-            g = generate(FamilySpec("d_n", n=depth), cap=cap)
+        g = generate(spec, cap=cap)
         report = doubling_report(g, mu=counting_measure(g))
         records.append(
             {

@@ -1,4 +1,4 @@
-"""Immutable simple connected graphs, shortest-path tables, balls and ball matrices.
+"""Immutable simple connected graphs, shortest-path tables and balls.
 
 Vertices are dense indices ``0..n-1``; external labels from parsed input are
 kept in a side map for reporting only.  Every constructor validates that the
@@ -68,9 +68,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     @cached_property
     def _distance_table(self) -> DistanceTable:
@@ -278,13 +275,6 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
     if r < 0:
         raise ValidationError(f"radius {r} must be >= 0")
     return frozenset(np.flatnonzero(distances(g).dist[v] <= r).tolist())
-
-
-def ball_matrix(g: Graph, r: int) -> np.ndarray:
-    """0/1 matrix with entry (v, w) = 1 iff d(v, w) <= r, so mu(B(v,r)) = (M_r mu)_v."""
-    if r < 0:
-        raise ValidationError(f"radius {r} must be >= 0")
-    return (distances(g).dist <= r).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -461,99 +461,3 @@ def check_lemachorra(g: Graph) -> dict:
 def _lemachorra_record(c0: float, perron_report: DoublingReport) -> dict:
     c_full = float(perron_report.c_mu)
     return {"c0": c0, "c_mu0_full": c_full, "equal": c_full - c0 <= LEMACHORRA_TOL}
-
-
-BRUTE_FORCE_VERTEX_CAP = 5
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    c_g: float
-    measure: Measure
-    resolution: int
-    grid_error: float
-    dims: int
-
-
-def brute_force_details(
-    g: Graph, grid_resolution: int = 200, symmetric: bool = True
-) -> BruteForceResult:
-    """Grid-search oracle: min of C_mu over a simplex grid of measures.
-
-    Independent of the LP route: evaluates doubling reports directly on every
-    grid point.  With ``symmetric=True`` the grid runs over measures constant
-    on the ``_distance_classes``, an exact reduction (a minimizer constant on
-    them exists); classes are never finer than the Aut(G) orbits, and every
-    connected graph on <= 5 vertices has a non-trivial automorphism, keeping
-    the grid at most 4-dimensional.
-    """
-    if g.n > BRUTE_FORCE_VERTEX_CAP:
-        raise SizeCapError(f"brute force capped at {BRUTE_FORCE_VERTEX_CAP} vertices")
-    if grid_resolution < 2:
-        raise ValidationError("grid resolution must be >= 2")
-    dt = distances(g)
-    kmax = max_radius_index(dt.diam)
-    class_of = _distance_classes(dt) if symmetric else tuple(range(g.n))
-    dims = max(class_of) + 1  # classes are numbered 0, 1, ... by first vertex
-    member = np.equal.outer(class_of, np.arange(dims)).astype(float)
-    count = [(dt.dist <= r).astype(float) @ member for r in range(2 * kmax + 2)]
-
-    w = np.ones((1, 1), dtype=np.int64) if dims == 1 else _grid(grid_resolution, dims)
-    best_val = math.inf
-    best_row = None
-    chunk = 200_000
-    for s in range(0, w.shape[0], chunk):
-        block = w[s : s + chunk].T.astype(float)
-        worst = None
-        for k in range(kmax + 1):
-            ratios = (count[2 * k + 1] @ block) / (count[k] @ block)
-            layer = ratios.max(axis=0)
-            worst = layer if worst is None else np.maximum(worst, layer)
-        i = int(np.argmin(worst))
-        if worst[i] < best_val:
-            best_val = float(worst[i])
-            best_row = w[s + i]
-    assert best_row is not None
-    weights = tuple(int(best_row[class_of[v]]) for v in range(g.n))
-    mu = Measure(weights)
-    # distortion allowance: moving each simplex coordinate by up to
-    # delta = dims / resolution rescales every ball ratio by at most
-    # (1 + delta/w)/(1 - delta/w) around the smallest normalized weight w
-    total = float(sum(best_row))
-    w_min = float(best_row.min()) / total
-    delta = dims / float(grid_resolution)
-    anchor = max(w_min - delta, delta / 10.0)
-    grid_error = best_val * (2 * delta / anchor)
-    return BruteForceResult(best_val, mu, grid_resolution, grid_error, dims)
-
-
-def brute_force_cg(g: Graph, grid_resolution: int = 200) -> float:
-    """Oracle value only; see brute_force_details for the witness and error."""
-    return brute_force_details(g, grid_resolution).c_g
-
-
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _grid(total: int, parts: int) -> np.ndarray:
-    key = (total, parts)
-    if key not in _GRID_CACHE:
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[key] = _compositions(total, parts)
-    return _GRID_CACHE[key]
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All positive integer compositions of ``total`` into ``parts`` parts."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        a = np.arange(1, total, dtype=np.int64)
-        return np.stack([a, total - a], axis=1)
-    blocks = []
-    for first in range(1, total - parts + 2):
-        rest = _compositions(total - first, parts - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)

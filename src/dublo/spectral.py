@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doubling import Measure
-from .errors import SizeCapError, SolverError
+from .errors import SolverError
 from .graphs import Graph
 
 EIG_TOL = 1e-12
@@ -89,76 +88,3 @@ def perron(g: Graph) -> SpectralResult:
     raise SolverError(
         f"power iteration bracket did not reach {EIG_TOL} in {MAX_ITERATIONS} iterations"
     )
-
-
-def c0_constant(g: Graph) -> float:
-    """Restricted doubling constant at radius 0: 1 + spectral radius."""
-    return perron(g).c0
-
-
-def perron_measure(g: Graph) -> Measure:
-    """Measure given by the Perron eigenvector; flattens all B(v,1)/mu(v) ratios."""
-    return Measure(tuple(float(w) for w in perron(g).eigvec))
-
-
-CHROMATIC_SIZE_CAP = 64
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by saturation-ordered backtracking."""
-    if g.n > CHROMATIC_SIZE_CAP:
-        raise SizeCapError(
-            f"chromatic_number capped at {CHROMATIC_SIZE_CAP} vertices, got {g.n}"
-        )
-    if g.n == 1:
-        return 1
-    if g.m == 0:
-        return 1
-    lower = 2
-    upper = max(g.degrees) + 1
-    for k in range(lower, upper + 1):
-        if _k_colorable(g, k):
-            return k
-    raise AssertionError("greedy bound violated")  # unreachable
-
-
-def _k_colorable(g: Graph, k: int) -> bool:
-    n = g.n
-    colors = [-1] * n
-    forbidden = [set() for _ in range(n)]
-    used = 0
-
-    def pick() -> int:
-        best, score = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                s = (len(forbidden[v]), len(g.adj[v]))
-                if s > score:
-                    score, best = s, v
-        return best
-
-    def backtrack(used: int) -> bool:
-        v = pick()
-        if v < 0:
-            return True
-        # at most one brand-new color: breaks color-permutation symmetry
-        for c in range(min(used + 1, k)):
-            if c in forbidden[v]:
-                continue
-            colors[v] = c
-            touched = []
-            dead = False
-            for w in g.adj[v]:
-                if colors[w] < 0 and c not in forbidden[w]:
-                    forbidden[w].add(c)
-                    touched.append(w)
-                    if len(forbidden[w]) >= k:
-                        dead = True
-            if not dead and backtrack(max(used, c + 1)):
-                return True
-            for w in touched:
-                forbidden[w].discard(c)
-            colors[v] = -1
-        return False
-
-    return backtrack(used)

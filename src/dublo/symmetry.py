@@ -1,4 +1,4 @@
-"""Automorphism groups, orbit partitions, symmetrization, vertex transitivity.
+"""Automorphism groups, orbit partitions, vertex transitivity.
 
 The search is a distance-profile-refined backtracking: a vertex may only map
 to vertices with the same sorted distance row, and every partial assignment
@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .doubling import Measure
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError
 from .graphs import Graph, distances
 
 AUT_VERTEX_CAP = 256
@@ -172,17 +171,6 @@ def orbit_partition(g: Graph, auts: list[Perm] | None = None) -> OrbitPartition:
                 orbit_of[u] = len(orbits)
             orbits.append(members)
     return OrbitPartition(tuple(orbit_of), tuple(orbits), order)
-
-
-def symmetrize(mu: Measure, auts: list[Perm]) -> Measure:
-    """mu_F(v) = sum over sigma in F of mu(sigma(v)); F-invariant by construction."""
-    if not auts:
-        raise ValidationError("need a non-empty set of automorphisms")
-    n = len(mu)
-    weights = []
-    for v in range(n):
-        weights.append(sum(mu[perm[v]] for perm in auts))
-    return Measure(tuple(weights))
 
 
 def is_vertex_transitive(g: Graph) -> bool:

@@ -9,9 +9,9 @@ from dublo import (
     classify_leq3,
     generate,
     least_doubling,
+    perron,
     smith_c0_table,
     structural_lower_bound,
-    c0_constant,
 )
 from dublo.families import FamilySpec
 
@@ -50,7 +50,7 @@ def test_lower_bound_reason_implies_c0_at_least_3():
     for spec in specs:
         g = generate(spec)
         assert structural_lower_bound(g) is not None
-        assert c0_constant(g) >= 3 - 1e-9
+        assert perron(g).c0 >= 3 - 1e-9
 
 
 def test_lower_bound_reason_implies_c0_at_least_3_random():
@@ -62,7 +62,7 @@ def test_lower_bound_reason_implies_c0_at_least_3_random():
     for _ in range(50):
         g = random_connected_graph(rand, rand.randint(3, 12))
         if structural_lower_bound(g) is not None:
-            assert c0_constant(g) >= 3 - 1e-9
+            assert perron(g).c0 >= 3 - 1e-9
 
 
 def test_classify_paths_strict():
@@ -175,10 +175,10 @@ def test_smith_unsupported():
 def test_smith_matches_spectral_module():
     for n in range(2, 31):
         g = generate(FamilySpec("path", n=n))
-        assert abs(smith_c0_table(FamilySpec("path", n=n)) - c0_constant(g)) <= 1e-9
+        assert abs(smith_c0_table(FamilySpec("path", n=n)) - perron(g).c0) <= 1e-9
     for n in range(4, 31):
         g = generate(FamilySpec("d_n", n=n))
-        assert abs(smith_c0_table(FamilySpec("d_n", n=n)) - c0_constant(g)) <= 1e-9
+        assert abs(smith_c0_table(FamilySpec("d_n", n=n)) - perron(g).c0) <= 1e-9
 
 
 # ---------------------------------------------------------------- tree sweep

@@ -506,6 +506,53 @@ def test_batch_line_calls_perron_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------------- family parameters
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compute", "--family", "e6", "--n", "99"), "family 'e6' takes no parameter n"),
+        (("family", "--family", "petersen", "--depth", "2"), "takes no parameter depth"),
+        (("truncate", "--family", "grid_ray", "--depths", "0,1"),
+         "family 'grid_ray_truncation' needs depth >= 1"),
+        (("truncate", "--family", "grid_ray", "--depths=-1,1"),
+         "family 'grid_ray_truncation' needs depth >= 1"),
+    ],
+    ids=["compute-e6-n", "family-petersen-depth", "grid-ray-depth-0", "grid-ray-depth-minus-1"],
+)
+def test_the_family_table_decides_every_parameter(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert message in err
+
+
+# ---------------------------------------------------------------- printed brackets
+
+
+def test_printed_bracket_contains_the_computed_one(tmp_path, capsys):
+    # each end is rounded outward to 12 significant digits: within one unit of the
+    # 12th digit, lower end down and upper end up
+    from dublo import catalog, least_doubling
+
+    unit = Fraction(1, 10**11)
+    for name, g in catalog():
+        path = tmp_path / f"{name}.g6"
+        path.write_text(write_graph6(g) + "\n")
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--format", "g6")
+        assert code == EXIT_OK, name
+        printed = json.loads(out, parse_float=Fraction)["bracket"]
+        lo, hi = map(Fraction, least_doubling(g).bracket)
+        assert lo - lo * unit <= printed[0] <= lo <= hi <= printed[1] <= hi + hi * unit, name
+
+
+def test_text_output_prints_the_same_outward_bracket(capsys):
+    # E7's lower end 2.9964226535082488 rounds to nearest as 2.99642265351
+    code, out, _ = run_cli(capsys, "compute", "--family", "e7", "--output", "text")
+    assert code == EXIT_OK
+    assert "bracket=(2.9964226535, 2.99642265451)" in out
+
+
 # ---------------------------------------------------------------- malformed input
 
 

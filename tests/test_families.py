@@ -9,7 +9,6 @@ from dublo import (
     Graph,
     SizeCapError,
     ValidationError,
-    c0_constant,
     distances,
     doubling_report,
     expected_constant,
@@ -90,7 +89,7 @@ def test_e8_hat_structure():
     g = generate(FamilySpec("e8_hat"))
     assert g.n == 9
     assert perron(g).radius == pytest.approx(2.0, abs=1e-12)
-    assert c0_constant(g) == pytest.approx(3.0, abs=1e-11)
+    assert perron(g).c0 == pytest.approx(3.0, abs=1e-11)
 
 
 def test_hoffman_singleton_structure():
@@ -154,6 +153,14 @@ def test_family_spec_enforces_each_parameter_minimum(family):
         for bad in (minimum - 1, None):
             with pytest.raises(ValidationError, match=f"needs {param} >= {minimum}"):
                 FamilySpec(family, **{**need, param: bad})
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_spec_rejects_a_parameter_the_family_does_not_take(family):
+    need = MINIMUMS.get(family, {})
+    for param in {"n", "m", "depth"} - set(need):
+        with pytest.raises(ValidationError, match=f"{family!r} takes no parameter {param}"):
+            FamilySpec(family, **need, **{param: 99})
 
 
 @pytest.mark.parametrize("m, n", [(0, 3), (-1, 3), (3, 0)])
@@ -264,22 +271,22 @@ def test_diameter2_families_match_expected():
 def test_smith_catalog_c0_closed_forms():
     for n in range(1, 31):
         g = generate(FamilySpec("path", n=n))
-        assert c0_constant(g) == pytest.approx(1 + 2 * math.cos(math.pi / (n + 1)), abs=1e-9)
+        assert perron(g).c0 == pytest.approx(1 + 2 * math.cos(math.pi / (n + 1)), abs=1e-9)
     for n in range(4, 31):
         g = generate(FamilySpec("d_n", n=n))
-        assert c0_constant(g) == pytest.approx(
+        assert perron(g).c0 == pytest.approx(
             1 + 2 * math.cos(math.pi / (2 * (n - 1))), abs=1e-9
         )
     for fam, h in (("e6", 12), ("e7", 18), ("e8", 30)):
-        assert c0_constant(generate(FamilySpec(fam))) == pytest.approx(
+        assert perron(generate(FamilySpec(fam))).c0 == pytest.approx(
             1 + 2 * math.cos(math.pi / h), abs=1e-9
         )
     for n in range(3, 31):
-        assert c0_constant(generate(FamilySpec("cycle", n=n))) == pytest.approx(3, abs=1e-9)
+        assert perron(generate(FamilySpec("cycle", n=n))).c0 == pytest.approx(3, abs=1e-9)
     for n in range(5, 31):
-        assert c0_constant(generate(FamilySpec("d_hat_n", n=n))) == pytest.approx(3, abs=1e-9)
+        assert perron(generate(FamilySpec("d_hat_n", n=n))).c0 == pytest.approx(3, abs=1e-9)
     for fam in ("e6_hat", "e7_hat", "e8_hat"):
-        assert c0_constant(generate(FamilySpec(fam))) == pytest.approx(3, abs=1e-9)
+        assert perron(generate(FamilySpec(fam))).c0 == pytest.approx(3, abs=1e-9)
 
 
 # ---------------------------------------------------------------- truncations
@@ -302,6 +309,21 @@ def test_truncation_path_z():
 def test_truncation_depths_must_increase():
     with pytest.raises(ValidationError):
         truncation_study("path_N", [4, 4])
+
+
+@pytest.mark.parametrize(
+    "family, depths, message",
+    [
+        ("path_N", [0, 1], "'path' needs n >= 1"),
+        ("path_Z", [-1, 1], "'path' needs n >= 1"),
+        ("d_infinity", [3, 4], "'d_n' needs n >= 4"),
+        ("grid_ray", [0, 1], "'grid_ray_truncation' needs depth >= 1"),
+        ("grid_ray", [-1, 1], "'grid_ray_truncation' needs depth >= 1"),
+    ],
+)
+def test_truncation_depths_meet_the_family_minimums(family, depths, message):
+    with pytest.raises(ValidationError, match=message):
+        truncation_study(family, depths)
 
 
 def test_truncation_d_infinity_measure_exactly_3():

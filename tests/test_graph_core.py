@@ -13,7 +13,6 @@ from dublo import (
     SizeCapError,
     ValidationError,
     ball,
-    ball_matrix,
     distances,
     generate,
     parse_edge_list,
@@ -270,25 +269,25 @@ def test_ball_vertex_out_of_range():
 def test_ball_matrix_identity_and_monotone():
     g = generate(FamilySpec("path", n=3))
     dt = distances(g)
-    m0 = ball_matrix(g, 0)
+    m0 = dt.dist <= 0
     assert (m0 == np.eye(3)).all()
-    m1 = ball_matrix(g, 1)
+    m1 = dt.dist <= 1
     assert (m1 >= m0).all()
     # L_3 at r=1 is tridiagonal
     assert (m1 == np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])).all()
-    assert (ball_matrix(g, dt.diam) == 1).all()
+    assert (dt.dist <= dt.diam).all()
 
 
 def test_ball_matrix_k3_all_ones():
     g = generate(FamilySpec("complete", n=3))
-    assert (ball_matrix(g, 1) == 1).all()
+    assert (distances(g).dist <= 1).all()
 
 
 def test_ball_matrix_row_sums_are_degree_plus_one():
     rand = random.Random(5)
     for _ in range(10):
         g = random_connected_graph(rand, rand.randint(2, 15))
-        m1 = ball_matrix(g, 1)
+        m1 = distances(g).dist <= 1
         assert (m1.sum(axis=1) == np.array(g.degrees) + 1).all()
 
 

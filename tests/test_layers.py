@@ -3,7 +3,8 @@
 Layers, lowest first: errors, graphs, doubling/spectral/exactlp, symmetry,
 optimizer, families/classifier, cli; the package facade and ``__main__`` sit
 on top.  A module may import its own layer or any lower one, never a higher
-one, and the import graph has no cycle.
+one, and the import graph has no cycle.  Every public name is used in src/
+or listed with the reason it is public.
 """
 
 import ast
@@ -235,3 +236,62 @@ def test_import_parser_sees_every_form():
         "from dublo import f\nimport dublo.e\ndef late():\n    from .g import z\n"
     )
     assert intra_package_imports(source) == {"a", "b", "c", "d", "e", "f", "g"}
+
+
+
+def references_outside_definitions(source: str) -> set[str]:
+    """Names a module loads (as a name or an attribute), except inside its own
+    top-level definition of that name."""
+    found = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = {top.name}
+        else:
+            own = {
+                node.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+        loads = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)
+        }
+        found |= loads - own
+    return found
+
+
+
+# the public names that no module in src/ references, each with its one-word
+# reason: an "entry" point of the library, a name the perfbench "tracer" binds,
+# or a "reference" for the tests, kept in src/ beside the private search it
+# drains until the tracer stops binding the symmetry layer
+UNREFERENCED_PUBLIC = {
+    "automorphisms": "reference",
+    "ball": "entry",
+    "catalog": "entry",
+    "feasible": "entry",
+    "is_vertex_transitive": "tracer",
+    "orbit_partition": "tracer",
+}
+
+
+def test_every_public_name_is_used_in_src_or_listed():
+    # src/ holds the pipeline: a public name nothing in src/ uses is an entry point,
+    # a tracer binding or a listed reference; test-only helpers live in tests/
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            used |= references_outside_definitions(path.read_text())
+    assert set(dublo.__all__) - used == set(UNREFERENCED_PUBLIC)
+    assert set(UNREFERENCED_PUBLIC.values()) <= {"entry", "tracer", "reference"}
+
+
+def test_reference_finder_sees_every_form():
+    source = (
+        "A = 1\nB = A + 1\ndef f():\n    return f()\ndef g():\n    return mod.h\n"
+        "class C:\n    d = C\nx: int = E\n"
+    )
+    # f and C name only themselves, so neither counts; B is never loaded
+    assert references_outside_definitions(source) == {"A", "h", "mod", "E", "int"}

@@ -19,8 +19,6 @@ from dublo import (
     SizeCapError,
     SolverError,
     ValidationError,
-    brute_force_cg,
-    brute_force_details,
     check_lemachorra,
     counting_measure,
     distances,
@@ -30,7 +28,6 @@ from dublo import (
     is_vertex_transitive,
     least_doubling,
     orbit_partition,
-    perron_measure,
     poly_largest_root,
 )
 import dublo
@@ -38,11 +35,13 @@ from dublo import optimizer
 from dublo.doubling import _masses_and_report
 from dublo.families import E8_RATIO_POLY, THREE_LEGS_POLY, FamilySpec, catalog
 
+from oracles import brute_force_cg, brute_force_details
 from util import (
     G10,
     connected_graphs_exactly,
     distance_classes_by_rows,
     hub_tail,
+    perron_measure,
     random_connected_graph,
     random_tree,
     relabel,
@@ -876,8 +875,8 @@ def test_brute_force_symmetric_matches_raw():
 
 
 def test_oracle_classes_are_the_orbits_up_to_five_vertices():
-    # the symmetric oracle groups by distance classes; on these 31 graphs they
-    # are the Aut(G) orbits, numbered alike, so its grids are the orbit grids
+    # the symmetric oracle groups by Aut(G) orbits; on these 31 graphs they are
+    # the distance classes, numbered alike, so the oracle checks the same grids
     graphs = [g for n in range(1, 6) for g in connected_graphs_exactly(n)]
     assert len(graphs) == 31
     for g in graphs:

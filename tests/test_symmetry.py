@@ -21,11 +21,11 @@ from dublo import (
     least_doubling,
     orbit_partition,
     parse_edge_list,
-    symmetrize,
 )
 from dublo.families import FamilySpec
 from dublo.symmetry import DEFAULT_GROUP_LIMIT
 
+from oracles import symmetrize
 from util import G10, G18, random_connected_graph, random_int_measure
 
 

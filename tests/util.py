@@ -1,4 +1,4 @@
-"""Shared test helpers: random graphs, exhaustive enumerations, oracles.
+"""Shared test helpers: random graphs, exhaustive enumerations, small references.
 
 Everything here is deliberately independent of the package internals it is
 used to check (e.g. the graph6 encoder below is a second implementation of
@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from dublo import Graph, Measure
+from dublo import Graph, Measure, perron
 
 
 def random_connected_graph(rand: random.Random, n: int, extra: float = 0.3) -> Graph:
@@ -91,6 +91,11 @@ def random_int_measure(rand: random.Random, n: int, hi: int = 20) -> Measure:
 
 def random_float_measure(rand: random.Random, n: int) -> Measure:
     return Measure(tuple(rand.uniform(0.05, 10.0) for _ in range(n)))
+
+
+def perron_measure(g: Graph) -> Measure:
+    """The Perron eigenvector, min entry 1, as a measure: it flattens every B(v,1)/mu(v)."""
+    return Measure(tuple(float(w) for w in perron(g).eigvec))
 
 
 def hub_tail(leaves: int) -> Graph:
