@@ -23,7 +23,6 @@ from .families import (
     catalog,
     expected_constant,
     generate,
-    grid_ray_truncation,
     poly_largest_root,
     smith_c0_table,
     truncation_study,
@@ -87,7 +86,6 @@ __all__ = [
     "expected_constant",
     "feasible",
     "generate",
-    "grid_ray_truncation",
     "is_vertex_transitive",
     "least_doubling",
     "load_measure_text",

@@ -79,8 +79,7 @@ class DoublingReport:
     """C_mu together with the per-radius restricted constants and witnesses."""
 
     c_mu: Weight
-    per_k: tuple[PerRadius, ...]
-    k_max: int
+    per_k: tuple[PerRadius, ...]  # k = 0..max_radius_index(diam)
 
     @property
     def is_exact(self) -> bool:
@@ -100,7 +99,7 @@ def _masses_and_report(
     weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
     masses = _ball_masses(dt.dist, weights, dt.diam)
     per_k = tuple(PerRadius(k, *top) for k, top in enumerate(_max_ratios(masses)))
-    return masses, DoublingReport(max(p.value for p in per_k), per_k, max_radius_index(dt.diam))
+    return masses, DoublingReport(max(p.value for p in per_k), per_k)
 
 
 def _scaled_integers(weights: Sequence[Weight]) -> tuple[np.ndarray, int]:

@@ -455,17 +455,16 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> Graph:
             _fail(spec, "doyle diameter")
         return g
     if fam == "grid_ray_truncation":
-        g, _ = grid_ray_truncation(spec.depth, cap=cap)
-        return g
+        return _grid_ray(spec.depth, cap)
     raise ValidationError(f"no generator for family {spec.family!r}")
 
 
-def grid_ray_truncation(depth: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[Graph, int]:
+def _grid_ray(depth: int, cap: int) -> Graph:
     """Square lattice plus a ray at the origin, truncated at radius 3*depth+1.
 
-    Returns the graph and the index of the probe vertex (0, 0, depth) on the
-    ray.  The truncation radius leaves every ball B((0,0,k), 2k+1) with
-    k <= depth untouched by the boundary.
+    Vertex (x, y, z) is labelled "x,y,z"; the probe of ``truncation_study``
+    is "0,0,depth" on the ray.  The truncation radius leaves every ball
+    B((0,0,k), 2k+1) with k <= depth untouched by the boundary.
     """
     radius = 3 * depth + 1
     n = 2 * radius * (radius + 1) + 1 + radius  # the lattice ball |x| + |y| <= radius, the ray
@@ -490,8 +489,7 @@ def grid_ray_truncation(depth: int, cap: int = DEFAULT_SIZE_CAP) -> tuple[Graph,
                     edges.append((i, j))
         else:
             edges.append((i, index[(0, 0, z - 1)]))
-    g = Graph.from_edges(n, edges, labels=tuple(labels), cap=cap)
-    return g, index[(0, 0, depth)]
+    return Graph.from_edges(n, edges, labels=tuple(labels), cap=cap)
 
 
 def expected_constant(spec: FamilySpec) -> ExpectedConstant:
@@ -576,9 +574,10 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
 
     Per depth: the truncation's c0 (monotone non-decreasing along the chain)
     and a counting-measure record; for grid_ray the record is the ball-count
-    ratio at the probe vertex (0,0,depth), in both the (2k+1, k) and the
-    (2k, k) radius pairings.  Every depth's ``FamilySpec`` is checked before
-    any graph is built.
+    ratio at the probe, the vertex labelled "0,0,depth", in both the
+    (2k+1, k) and the (2k, k) radius pairings.  Every depth's graph comes
+    from ``generate``, and every depth's ``FamilySpec`` is checked before any
+    graph is built.
     """
     if family not in TRUNCATION_FAMILIES:
         raise ValidationError(f"unknown truncation family {family!r}")
@@ -587,36 +586,26 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
     specs = [_TRUNCATIONS[family](depth) for depth in depths]
     records = []
     for depth, spec in zip(depths, specs):
-        if family == "grid_ray":
-            g, probe = grid_ray_truncation(spec.depth, cap=cap)
-            dist = single_source(g, probe)
-            ball_k = sum(1 for d in dist if d <= depth)
-            ball_2k = sum(1 for d in dist if d <= 2 * depth)
-            ball_2k1 = sum(1 for d in dist if d <= 2 * depth + 1)
-            records.append(
-                {
-                    "depth": depth,
-                    "n": g.n,
-                    "c0": perron(g).c0,
-                    "probe_ball_k": ball_k,
-                    "probe_ball_2k": ball_2k,
-                    "probe_ball_2k1": ball_2k1,
-                    "counting_ratio": Fraction(ball_2k1, ball_k),
-                    "counting_ratio_2r": Fraction(ball_2k, ball_k),
-                }
-            )
-            continue
         g = generate(spec, cap=cap)
-        report = doubling_report(g, mu=counting_measure(g))
-        records.append(
-            {
-                "depth": depth,
-                "n": g.n,
-                "c0": perron(g).c0,
-                "c_counting": report.c_mu,
-                "per_k": [(p.k, p.value, p.witness) for p in report.per_k],
-            }
-        )
+        record = {"depth": depth, "n": g.n, "c0": perron(g).c0}
+        if family == "grid_ray":
+            dist = single_source(g, g.labels.index(f"0,0,{depth}"))
+            ball_k, ball_2k, ball_2k1 = (
+                sum(1 for d in dist if d <= r) for r in (depth, 2 * depth, 2 * depth + 1)
+            )
+            record.update(
+                probe_ball_k=ball_k,
+                probe_ball_2k=ball_2k,
+                probe_ball_2k1=ball_2k1,
+                counting_ratio=Fraction(ball_2k1, ball_k),
+                counting_ratio_2r=Fraction(ball_2k, ball_k),
+            )
+        else:
+            report = doubling_report(g, mu=counting_measure(g))
+            record.update(
+                c_counting=report.c_mu, per_k=[(p.k, p.value, p.witness) for p in report.per_k]
+            )
+        records.append(record)
     return records
 
 

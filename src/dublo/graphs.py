@@ -150,34 +150,27 @@ def parse_edge_list(text: str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_DIGITS = (1, 3, 6)  # base-64 digits of n after 0, 1 or 2 '~'
+
+
+def _g6_values(chunk: bytes, part: str) -> list[int]:
+    """The 6-bit value of each graph6 digit, every byte in 63..126."""
+    for c in chunk:
+        if not 63 <= c <= 126:
+            raise ParseError(f"invalid graph6 {part} byte {c}")
+    return [c - 63 for c in chunk]
 
 
 def _g6_decode_n(data: bytes) -> tuple[int, int]:
-    """Return (n, offset of the adjacency bits) from a graph6 record."""
-    if not data:
-        raise ParseError("empty graph6 record")
-    b = data[0]
-    if b == 126:  # '~'
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise ParseError("truncated graph6 long vertex count")
-            vals = [c - 63 for c in data[2:8]]
-            if any(v < 0 or v > 63 for v in vals):
-                raise ParseError("malformed graph6 vertex count")
-            n = 0
-            for v in vals:
-                n = (n << 6) | v
-            return n, 8
-        if len(data) < 4:
-            raise ParseError("truncated graph6 medium vertex count")
-        vals = [c - 63 for c in data[1:4]]
-        if any(v < 0 or v > 63 for v in vals):
-            raise ParseError("malformed graph6 vertex count")
-        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
-        return n, 4
-    if not 63 <= b <= 125:
-        raise ParseError(f"malformed graph6 header byte {b}")
-    return b - 63, 1
+    """Return (n, offset of the adjacency bits): 0, 1 or 2 '~', then 1, 3 or 6 digits."""
+    tildes = 2 if data.startswith(b"~~") else int(data.startswith(b"~"))
+    end = tildes + _G6_DIGITS[tildes]
+    if len(data) < end:
+        raise ParseError("truncated graph6 vertex count")
+    n = 0
+    for v in _g6_values(data[tildes:end], "header"):
+        n = n << 6 | v
+    return n, end
 
 
 def parse_graph6(data: bytes | str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -200,10 +193,7 @@ def parse_graph6(data: bytes | str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if len(body) != nbytes:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {nbytes}")
     bits: list[int] = []
-    for c in body:
-        v = c - 63
-        if v < 0 or v > 63:
-            raise ParseError(f"invalid graph6 body byte {c}")
+    for v in _g6_values(body, "body"):
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[nbits:]):
         raise ParseError("graph6 record has nonzero trailing bits")
@@ -220,12 +210,9 @@ def parse_graph6(data: bytes | str, cap: int = DEFAULT_SIZE_CAP) -> Graph:
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a standard graph6 ASCII record."""
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    elif n <= 258047:
-        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    else:
-        head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    tildes = 0 if n <= 62 else 1 if n <= 258047 else 2
+    shifts = range(6 * _G6_DIGITS[tildes] - 6, -1, -6)
+    head = "~" * tildes + "".join(chr(((n >> s) & 63) + 63) for s in shifts)
     bits = []
     for col in range(1, n):
         for row in range(col):

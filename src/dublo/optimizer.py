@@ -285,11 +285,6 @@ class Certificate:
     measure: Measure
     slacks: tuple[Fraction, ...]
 
-    @property
-    def c_mu_exact(self) -> Fraction:
-        """The measure's exact C_mu, which is ``t``."""
-        return self.t
-
 
 @dataclass(frozen=True)
 class OptimizationResult:

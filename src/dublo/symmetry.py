@@ -148,20 +148,16 @@ class OrbitPartition:
     group_order: int
 
 
-def orbit_partition(g: Graph, auts: list[Perm] | None = None) -> OrbitPartition:
+def orbit_partition(g: Graph) -> OrbitPartition:
     """Vertex orbits under Aut(G) plus the exact group order.
 
-    When ``auts`` (the whole group) is omitted, both come from one stabilizer
-    chain, so large groups need not be enumerated.  Orbits are numbered by
-    their first vertex.
+    Both come from one stabilizer chain, so large groups need not be
+    enumerated.  Orbits are numbered by their first vertex.
     """
-    if auts is not None:
-        gens, order = auts, len(auts)
-    else:
-        gens, order = [], 1
-        for closure, found in _stabilizer_chain(g):
-            gens += found
-            order *= len(closure)
+    gens, order = [], 1
+    for closure, found in _stabilizer_chain(g):
+        gens += found
+        order *= len(closure)
     orbit_of = [-1] * g.n
     orbits: list[tuple[int, ...]] = []
     for v in range(g.n):

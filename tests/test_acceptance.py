@@ -110,8 +110,8 @@ def test_criterion_04_e8_bound_and_e6_e7_strict():
     strict = {}
     for fam in ("e6", "e7"):
         res = least_doubling(generate(FamilySpec(fam)), certificate=True)
-        strict[fam] = res.certificate.c_mu_exact
-        ok = ok and res.certificate.c_mu_exact < 3 - Fraction(1, 10**9)
+        strict[fam] = res.certificate.t
+        ok = ok and res.certificate.t < 3 - Fraction(1, 10**9)
     _report(
         4,
         ok,

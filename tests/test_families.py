@@ -9,6 +9,7 @@ from dublo import (
     Graph,
     SizeCapError,
     ValidationError,
+    ball,
     distances,
     doubling_report,
     expected_constant,
@@ -17,7 +18,7 @@ from dublo import (
     perron,
     truncation_study,
 )
-from dublo.families import FAMILY_NAMES, FamilySpec, d_infinity_measure, grid_ray_truncation
+from dublo.families import FAMILY_NAMES, FamilySpec, d_infinity_measure
 
 
 def test_unknown_family_rejected():
@@ -382,6 +383,23 @@ def test_grid_ray_library_calls_take_the_default_cap():
 
 
 def test_grid_ray_probe_is_on_ray():
-    g, probe = grid_ray_truncation(3)
-    assert g.labels[probe] == "0,0,3"
+    g = generate(FamilySpec("grid_ray_truncation", depth=3))
+    probe = g.labels.index("0,0,3")
     assert g.degree(probe) == 2
+
+
+def test_grid_ray_records_are_read_at_the_0_0_depth_vertex():
+    records = truncation_study("grid_ray", [1, 2])
+    assert [
+        (r["n"], r["probe_ball_k"], r["probe_ball_2k"], r["probe_ball_2k1"]) for r in records
+    ] == [(45, 3, 8, 17), (120, 5, 19, 32)]
+    assert [r["c0"] for r in records] == pytest.approx([4.644317861987888, 4.857515274643453])
+    for r in records:
+        k = r["depth"]
+        g = generate(FamilySpec("grid_ray_truncation", depth=k))
+        probe = g.labels.index(f"0,0,{k}")
+        balls = [len(ball(g, probe, radius)) for radius in (k, 2 * k, 2 * k + 1)]
+        assert balls == [r["probe_ball_k"], r["probe_ball_2k"], r["probe_ball_2k1"]]
+        assert (r["counting_ratio"], r["counting_ratio_2r"]) == (
+            Fraction(balls[2], balls[0]), Fraction(balls[1], balls[0])
+        )

@@ -163,6 +163,46 @@ def test_graph6_medium_form_roundtrip():
     assert back.adj == g.adj
 
 
+def test_graph6_medium_and_long_vertex_counts_decode_alike():
+    # n = 5 in the 1-, 3- and 6-digit forms; the first reader takes the shortest
+    p5 = generate(FamilySpec("path", n=5))
+    assert write_graph6(p5) == "DhC"
+    for record in ("DhC", "~??DhC", "~~?????DhC"):
+        assert parse_graph6(record).adj == p5.adj, record
+
+
+def test_graph6_vertex_count_over_the_cap_is_refused_before_the_body():
+    # the records have no body: reading one would be a ParseError
+    with pytest.raises(SizeCapError, match="262144 vertices, cap is 512"):
+        parse_graph6("~~??@???")
+    with pytest.raises(SizeCapError, match="100 vertices, cap is 64"):
+        parse_graph6("~?@c", cap=64)
+
+
+@pytest.mark.parametrize("record", ["", "~", "~?", "~??", "~~", "~~?????"])
+def test_graph6_truncated_vertex_count(record):
+    with pytest.raises(ParseError, match="truncated graph6 vertex count"):
+        parse_graph6(record)
+
+
+@pytest.mark.parametrize(
+    "record, byte", [("\x7f", 127), ("~?\x7f?", 127), ("~?5?", 53), ("~~????\x7f?", 127)]
+)
+def test_graph6_header_digit_out_of_range(record, byte):
+    with pytest.raises(ParseError, match=f"invalid graph6 header byte {byte}"):
+        parse_graph6(record)
+
+
+def test_graph6_writer_matches_the_oracle_in_short_and_medium_form():
+    graphs = [g for _, g in catalog()]
+    graphs += [generate(FamilySpec("path", n=100)), generate(FamilySpec("complete", n=64))]
+    for g in graphs:
+        record = write_graph6(g)
+        assert record == g6_encode_oracle(g.n, set(g.edges())), g.n
+        assert parse_graph6(record).adj == g.adj
+    assert [write_graph6(g)[:4] for g in graphs[-2:]] == ["~?@c", "~?@?"]
+
+
 # ---------------------------------------------------------------- distances
 
 

@@ -471,7 +471,7 @@ def test_least_doubling_doyle_certificate_exact():
     assert res.c_g == pytest.approx(5.4, abs=1e-9)
     assert res.c_g_exact == Fraction(27, 5)
     assert res.certificate is not None
-    assert res.certificate.c_mu_exact == Fraction(27, 5)
+    assert res.certificate.t == Fraction(27, 5)
     assert set(res.classes) == {0}
 
 
@@ -482,7 +482,7 @@ def test_single_class_without_transitivity_is_exact():
     res = least_doubling(G10, certificate=True)
     assert set(res.classes) == {0}
     assert res.c_g_exact == 5
-    assert res.certificate is not None and res.certificate.c_mu_exact == 5
+    assert res.certificate is not None and res.certificate.t == 5
 
 
 def test_single_class_above_orbit_search_cap():
@@ -573,7 +573,7 @@ def test_hub_and_tail_finishes_under_the_cap():
         res = least_doubling(hub_tail(leaves), certificate=True)
         assert 0 < res.method_notes["lp_solves"] < optimizer.LP_SOLVE_CAP
         assert res.bracket[1] - res.bracket[0] <= 1e-9
-        assert abs(float(res.certificate.c_mu_exact) - res.c_g) <= 1e-12 * res.c_g
+        assert abs(float(res.certificate.t) - res.c_g) <= 1e-12 * res.c_g
 
 
 def test_lp_solve_cap_raises_size_cap_error(monkeypatch, capsys):
@@ -651,7 +651,7 @@ def test_certificate_e6_e7_below_3():
         res = least_doubling(generate(FamilySpec(fam)), certificate=True)
         cert = res.certificate
         assert cert is not None
-        assert cert.c_mu_exact < 3 - Fraction(1, 10**9)
+        assert cert.t < 3 - Fraction(1, 10**9)
         assert all(s >= 0 for s in cert.slacks)
         assert all(w >= 1 for w in cert.measure.weights)
 
@@ -698,8 +698,7 @@ def test_certificate_exact_measure_verifies():
     cert = res.certificate
     g = generate(FamilySpec("three_legs"))
     report = doubling_report(g, mu=cert.measure)
-    assert report.c_mu == cert.c_mu_exact
-    assert cert.c_mu_exact <= cert.t
+    assert report.c_mu == cert.t  # t is the exact measure's own C_mu
 
 
 def _direct_slacks(g, mu, t):
@@ -744,7 +743,7 @@ def test_certificate_is_the_minimizer_without_the_exact_simplex(monkeypatch):
         cert = res.certificate
         assert cert is not None
         assert list(cert.measure.weights) == list(res.minimizer.weights)
-        assert cert.t == cert.c_mu_exact
+        assert cert.t == doubling_report(g, mu=cert.measure).c_mu
         assert min(cert.slacks) == 0
         assert cert.t >= res.bracket[0] - 1e-12
         assert cert.t <= res.c_g * (1 + 1e-10)

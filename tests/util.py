@@ -7,9 +7,10 @@ the format, and tree enumeration has its own canonical form).
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
-from itertools import combinations, permutations
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -128,8 +129,11 @@ G10 = _graph_from_pairs(
 
 def g6_encode_oracle(n: int, edges: set[tuple[int, int]]) -> str:
     """Independent graph6 encoder, structured differently from the package's."""
-    assert n <= 62, "oracle only covers the short form"
-    out = [n + 63]
+    if n <= 62:
+        out = [n + 63]
+    else:  # '~' and 3 big-endian base-64 digits, or '~~' and 6 above 258047
+        width = 3 if n <= 258047 else 6
+        out = [126] * (width // 3) + [n // 64**i % 64 + 63 for i in range(width - 1, -1, -1)]
     acc, nbits = 0, 0
     for col in range(1, n):
         for row in range(col):
@@ -148,46 +152,64 @@ def g6_encode_oracle(n: int, edges: set[tuple[int, int]]) -> str:
 # ---------------------------------------------------------------- enumerations
 
 
-def _connected_edge_set(n: int, eset) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in eset:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
+def _refined_cells(n: int, edges) -> list[list[int]]:
+    """Cells of the colour refinement that starts from the degrees, in colour order.
+
+    Each round ranks the signatures (colour, sorted neighbour colours), so a
+    cell's place depends on the graph alone, never on the labelling.
+    """
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colour = [len(a) for a in nbrs]
+    while True:
+        signatures = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        refined = [rank[sig] for sig in signatures]
+        if len(rank) == len(set(colour)):
+            return [[v for v in range(n) if refined[v] == c] for c in range(len(rank))]
+        colour = refined
 
 
-def _canon_small(n: int, eset) -> tuple:
+def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """Least sorted edge list over the labellings that number the refined cells in order.
+
+    Only permutations inside each cell are tried; the cells' order is an
+    isomorphism invariant, so isomorphic graphs get equal forms.
+    """
     best = None
-    for p in permutations(range(n)):
-        key = tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in eset))
-        if best is None or key < best:
-            best = key
+    for blocks in product(*(permutations(cell) for cell in _refined_cells(n, edges))):
+        pos = [0] * n
+        for i, v in enumerate(chain.from_iterable(blocks)):
+            pos[v] = i
+        code = tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges))
+        if best is None or code < best:
+            best = code
     return best
 
 
-def connected_graphs_exactly(n: int) -> list[Graph]:
-    """All connected graphs on exactly n labeled-collapsed vertices, n <= 5."""
-    assert n <= 5
+@functools.cache
+def _connected_codes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     if n == 1:
-        return [Graph(1, ((),))]
-    pairs = list(combinations(range(n), 2))
-    seen: dict[tuple, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        eset = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if not _connected_edge_set(n, eset):
-            continue
-        key = _canon_small(n, eset)
-        if key not in seen:
-            seen[key] = Graph.from_edges(n, eset)
-    return [seen[k] for k in sorted(seen)]
+        return ((),)
+    found = set()
+    for code in _connected_codes(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            joins = tuple((v, n - 1) for v in range(n - 1) if mask >> v & 1)
+            found.add(_canonical_edges(n, code + joins))
+    return tuple(sorted(found))
+
+
+def connected_graphs_exactly(n: int) -> list[Graph]:
+    """Every connected graph on n vertices up to isomorphism, each in its canonical labelling.
+
+    Canonical augmentation (McKay 1998): deleting a leaf of a spanning tree
+    leaves a connected graph on n - 1 vertices, so each graph is one of those
+    plus a vertex joined to a nonempty subset, and ``_canonical_edges`` keeps
+    one of each class.  Sorted by canonical form.
+    """
+    return [Graph.from_edges(n, code) for code in _connected_codes(n)]
 
 
 def _ahu_rooted(adj: list[list[int]], root: int, parent: int) -> str:
