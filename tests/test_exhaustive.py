@@ -1,12 +1,11 @@
 """Every connected graph on up to 7 vertices, each once up to isomorphism.
 
-``util.connected_graphs_exactly`` generates them by canonical augmentation.
-The 995 graphs on 2 to 7 vertices are swept through graph6, the class
-reduction, the spectral lower bound and the classifier.  The 11 117 graphs on
-8 vertices take about 25 s to generate; set DUBLO_TEST_N8=1 to count them.
+``util.connected_graphs_exactly`` extends each (n-1)-vertex class by one
+vertex and keeps one graph per canonical form.  The 995 graphs on 2 to 7
+vertices are swept through graph6, the class reduction, the spectral lower
+bound and the classifier.
 """
 
-import os
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -16,7 +15,7 @@ from dublo import classify_leq3, least_doubling, parse_graph6, write_graph6
 
 from util import connected_graphs_exactly, g6_encode_oracle
 
-A001349 = (1, 1, 2, 6, 21, 112, 853, 11117)  # connected graphs on n = 1, 2, ... vertices
+A001349 = (1, 1, 2, 6, 21, 112, 853)  # connected graphs on n = 1, 2, ... vertices
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +26,7 @@ def sweep():
 
 
 def test_counts_match_oeis_a001349():
-    assert [len(connected_graphs_exactly(n)) for n in range(1, 8)] == list(A001349[:7])
-
-
-@pytest.mark.skipif(os.environ.get("DUBLO_TEST_N8") != "1", reason="set DUBLO_TEST_N8=1")
-def test_counts_match_oeis_a001349_on_8_vertices():
-    assert len(connected_graphs_exactly(8)) == A001349[7]
+    assert [len(connected_graphs_exactly(n)) for n in range(1, 8)] == list(A001349)
 
 
 def _full_canon(n, edges):

@@ -129,8 +129,11 @@ def test_graph6_non_ascii_rejected():
 
 
 def test_graph6_malformed_header():
-    with pytest.raises(ParseError):
-        parse_graph6(bytes([5, 70]))
+    # a vertex-count digit outside 63..126, in the short, medium and long forms
+    cases = [(bytes([5, 70]), 5), ("\x7f", 127), ("~?\x7f?", 127), ("~?5?", 53), ("~~????\x7f?", 127)]
+    for record, byte in cases:
+        with pytest.raises(ParseError, match=f"invalid graph6 header byte {byte}"):
+            parse_graph6(record)
 
 
 def test_graph6_roundtrip_random():
@@ -144,8 +147,9 @@ def test_graph6_roundtrip_random():
 
 def test_graph6_roundtrip_oracle_agreement():
     rand = random.Random(31)
-    for _ in range(25):
-        g = random_connected_graph(rand, rand.randint(2, 40))
+    cases = [random_connected_graph(rand, rand.randint(2, 40)) for _ in range(25)]
+    cases += [g for _, g in catalog()]
+    for g in cases:
         assert write_graph6(g) == g6_encode_oracle(g.n, set(g.edges()))
 
 
@@ -156,11 +160,12 @@ def test_graph6_header_prefix_accepted():
 
 def test_graph6_medium_form_roundtrip():
     # n > 62 forces the 4-byte vertex-count encoding
-    g = generate(FamilySpec("path", n=100))
-    record = write_graph6(g)
-    assert record.startswith("~")
-    back = parse_graph6(record)
-    assert back.adj == g.adj
+    for spec, header in ((FamilySpec("path", n=100), "~?@c"), (FamilySpec("complete", n=64), "~?@?")):
+        g = generate(spec)
+        record = write_graph6(g)
+        assert record.startswith(header)
+        assert record == g6_encode_oracle(g.n, set(g.edges()))
+        assert parse_graph6(record).adj == g.adj
 
 
 def test_graph6_medium_and_long_vertex_counts_decode_alike():
@@ -183,24 +188,6 @@ def test_graph6_vertex_count_over_the_cap_is_refused_before_the_body():
 def test_graph6_truncated_vertex_count(record):
     with pytest.raises(ParseError, match="truncated graph6 vertex count"):
         parse_graph6(record)
-
-
-@pytest.mark.parametrize(
-    "record, byte", [("\x7f", 127), ("~?\x7f?", 127), ("~?5?", 53), ("~~????\x7f?", 127)]
-)
-def test_graph6_header_digit_out_of_range(record, byte):
-    with pytest.raises(ParseError, match=f"invalid graph6 header byte {byte}"):
-        parse_graph6(record)
-
-
-def test_graph6_writer_matches_the_oracle_in_short_and_medium_form():
-    graphs = [g for _, g in catalog()]
-    graphs += [generate(FamilySpec("path", n=100)), generate(FamilySpec("complete", n=64))]
-    for g in graphs:
-        record = write_graph6(g)
-        assert record == g6_encode_oracle(g.n, set(g.edges())), g.n
-        assert parse_graph6(record).adj == g.adj
-    assert [write_graph6(g)[:4] for g in graphs[-2:]] == ["~?@c", "~?@?"]
 
 
 # ---------------------------------------------------------------- distances

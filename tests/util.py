@@ -204,10 +204,11 @@ def _connected_codes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def connected_graphs_exactly(n: int) -> list[Graph]:
     """Every connected graph on n vertices up to isomorphism, each in its canonical labelling.
 
-    Canonical augmentation (McKay 1998): deleting a leaf of a spanning tree
-    leaves a connected graph on n - 1 vertices, so each graph is one of those
-    plus a vertex joined to a nonempty subset, and ``_canonical_edges`` keeps
-    one of each class.  Sorted by canonical form.
+    One-vertex extension of each (n-1)-vertex class, deduplicated by a
+    canonical form: deleting a leaf of a spanning tree leaves a connected
+    graph on n - 1 vertices, so each graph is one of those plus a vertex
+    joined to a nonempty subset, and ``_canonical_edges`` keeps one of each
+    class.  Sorted by canonical form.
     """
     return [Graph.from_edges(n, code) for code in _connected_codes(n)]
 
