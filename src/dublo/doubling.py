@@ -81,22 +81,21 @@ class DoublingReport:
     c_mu: Weight
     per_k: tuple[PerRadius, ...]  # k = 0..max_radius_index(diam)
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.c_mu, Rational)
-
 
 # mu is keyword-only: perfbench/tracer.py reads it as args[2] when given, else kwargs["mu"]
 def doubling_report(g: Graph, *, mu: Measure) -> DoublingReport:
     """Evaluate every restricted constant; C_mu is their maximum."""
-    return _masses_and_report(g, distances(g), mu)[1]
+    weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
+    return _masses_and_report(distances(g), weights)[1]
 
 
 def _masses_and_report(
-    g: Graph, dt: DistanceTable, mu: Measure
+    dt: DistanceTable, weights: np.ndarray
 ) -> tuple[np.ndarray, DoublingReport]:
-    """A measure's ``_ball_masses`` table around every vertex, and the report read from it."""
-    weights = _scaled_integers(mu.weights)[0] if mu.is_exact else mu.as_array()
+    """A weight array's ``_ball_masses`` table around every vertex, and the report read from it.
+
+    Float weights give a float report; integer weights an exact one.
+    """
     masses = _ball_masses(dt.dist, weights, dt.diam)
     per_k = tuple(PerRadius(k, *top) for k, top in enumerate(_max_ratios(masses)))
     return masses, DoublingReport(max(p.value for p in per_k), per_k)

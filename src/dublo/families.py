@@ -37,7 +37,7 @@ from itertools import chain
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .doubling import Measure, counting_measure, doubling_report
+from .doubling import counting_measure, doubling_report
 from .errors import SizeCapError, ValidationError
 from .graphs import DEFAULT_SIZE_CAP, Graph, single_source, structural_facts
 from .spectral import perron
@@ -609,19 +609,7 @@ def truncation_study(family: str, depths: list[int], cap: int = DEFAULT_SIZE_CAP
     return records
 
 
-def d_infinity_measure(g: Graph) -> Measure:
-    """The weights (1 on the two fork leaves, 2 elsewhere) used for D-type trees."""
-    if not is_d_n(g):
-        raise ValidationError("d_infinity measure expects a D_n tree")
-    branch = next(v for v in range(g.n) if g.degree(v) == 3)
-    fork_leaves = [v for v in g.adj[branch] if g.degree(v) == 1]
-    weights = [2] * g.n
-    for v in fork_leaves:
-        weights[v] = 1
-    return Measure(tuple(weights))
-
-
-def catalog(max_n: int | None = None) -> list[tuple[str, Graph]]:
+def catalog() -> list[tuple[str, Graph]]:
     """Named sample of every family, for property tests and sweeps."""
     entries: list[tuple[str, FamilySpec]] = [
         ("K_3", FamilySpec("complete", n=3)),
@@ -661,9 +649,4 @@ def catalog(max_n: int | None = None) -> list[tuple[str, Graph]]:
         ("E7_hat", FamilySpec("e7_hat")),
         ("E8_hat", FamilySpec("e8_hat")),
     ]
-    out = []
-    for name, spec in entries:
-        g = generate(spec)
-        if max_n is None or g.n <= max_n:
-            out.append((name, g))
-    return out
+    return [(name, generate(spec)) for name, spec in entries]

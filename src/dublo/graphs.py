@@ -266,7 +266,6 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class StructuralFacts:
-    degrees: tuple[int, ...]
     max_degree: int
     is_regular: bool
     has_cycle: bool
@@ -277,7 +276,6 @@ def structural_facts(g: Graph) -> StructuralFacts:
     """Cheap structural predicates used by the classifier and reports."""
     degs = g.degrees
     return StructuralFacts(
-        degrees=degs,
         max_degree=max(degs),
         is_regular=len(set(degs)) == 1,
         has_cycle=g.m >= g.n,  # connected graph is a tree iff m = n - 1

@@ -26,6 +26,8 @@ binding until no inactive row lies above the LP's value, so every step is
 the full LP's.  A subset without a solution proves the full system has none.
 Only imposed rows are built; each measure gets one ball-mass pass, which
 gives both its constant and its row masses for the start order and that test.
+Every measure on this path is a vertex-weight array; only the reported
+minimizer (and, with a certificate, its exact copy) becomes a ``Measure``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .doubling import (
     DoublingReport,
     Measure,
     _masses_and_report,
-    counting_measure,
     doubling_report,
     exact_slacks,
     max_radius_index,
@@ -97,15 +98,12 @@ class FeasibilityProblem:
     def reduced_rows(self) -> int:
         return len(self.reps) * (self.k_max + 1)
 
-    def expand(self, weights: Sequence) -> tuple:
-        return tuple(weights[c] for c in self._expand_map)
-
-    def rows(self, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(den, num): int64 |B(rep, r) ∩ class| at r = k and 2k+1 for k-major rows ``ids``.
 
-        Every row by default.  Float products of 0/1 entries, exact below 2**53.
+        Float products of 0/1 entries, exact below 2**53.
         """
-        k, i = np.divmod(np.arange(self.reduced_rows) if ids is None else ids, self.n_vars)
+        k, i = np.divmod(ids, self.n_vars)
         dist = self.dt.dist[self.reps[i]]
         return tuple(
             ((dist <= r[:, None]) @ self._indicator).astype(np.int64) for r in (k, 2 * k + 1)
@@ -117,7 +115,7 @@ class FeasibilityProblem:
 
     def check(
         self, t: float, rows: np.ndarray | None = None, scale: np.ndarray | None = None
-    ) -> Measure | None:
+    ) -> np.ndarray | None:
         """Float LP: minimal max-violation over the weight simplex.
 
         Solved by HiGHS via scipy's bundled binding, each solve warm-started
@@ -125,14 +123,15 @@ class FeasibilityProblem:
         reduced ``rows`` (every row by default), whose counts ``self.rows``
         builds for this call only.  With ``scale``, reduced
         weights x, each row N_i - t D_i is divided by D_i x, its radius-k ball
-        mass under x.  Returns a strictly positive measure (min weight 1)
+        mass under x.  Returns strictly positive vertex weights (min 1)
         whose ratios on the imposed rows are re-verified directly against t,
         or None when the LP's value exceeds ``_FEAS_EPS``, which
         proves t infeasible: scaling keeps the feasible set, and rows with no
-        common solution leave the full system none.  An accepted answer on
-        the cone boundary, or one whose direct ratios exceed t, proves
-        nothing either way and raises SolverError, as does any HiGHS status
-        other than optimal.  A non-finite t raises ValidationError.
+        common solution leave the full system none.  An accepted answer with
+        a non-finite weight, on the cone boundary, or whose direct ratios
+        exceed t proves nothing either way and raises SolverError, as does
+        any HiGHS status other than optimal.  A non-finite t raises
+        ValidationError.
         """
         if not math.isfinite(t):
             raise ValidationError(f"candidate constant must be finite, got {t!r}")
@@ -144,12 +143,14 @@ class FeasibilityProblem:
         value, w = self._solve(a, ids)
         if value > _FEAS_EPS:
             return None
+        if not np.isfinite(w).all():  # both checks below are false on NaN
+            raise SolverError(f"LP at t = {t!r} accepted a non-finite weight")
         if w.min() <= 1e-12 * max(w.max(), 1e-30):
             raise SolverError(f"LP at t = {t!r} accepted a weight on the cone boundary")
         if ((num @ w) / (den @ w)).max() > t * (1 + 1e-11):
             raise SolverError(f"LP at t = {t!r} accepted weights whose direct ratio exceeds t")
-        full = np.array(self.expand(w))
-        return Measure(tuple((full / full.min()).tolist()))
+        full = w[self._expand_map]
+        return full / full.min()
 
     def _solve(self, a: np.ndarray, ids: np.ndarray) -> tuple[float, np.ndarray]:
         """Min s subject to a w <= s, var_sizes . w = 1, w >= 0: (s, w).
@@ -215,9 +216,9 @@ class FeasibilityProblem:
         self._basis = (basis.col_status, rows[m], dict(zip(keys, rows)))
         return self._highs.getObjectiveValue(), np.array(self._highs.getSolution().col_value[:nv])
 
-    def reduce(self, mu: Measure) -> np.ndarray:
-        """Reduced weights of a class-constant measure, scaled to total mass 1."""
-        x = np.array([float(mu[v]) for v in self.reps])
+    def reduce(self, weights: np.ndarray) -> np.ndarray:
+        """Reduced weights of class-constant vertex weights, scaled to total mass 1."""
+        x = weights[self.reps].astype(float)
         return x / (self.var_sizes @ x)
 
     def check_exact(self, t: Fraction) -> tuple[Measure, tuple[Fraction, ...]] | None:
@@ -233,11 +234,11 @@ class FeasibilityProblem:
                 f"exact mode capped at {EXACT_CONSTRAINT_CAP} constraints, "
                 f"got {self.constraint_count}"
             )
-        den, num = self.rows()
+        den, num = self.rows(np.arange(self.reduced_rows))
         x = exactlp.feasible_min_one((num.astype(object) - t * den.astype(object)).tolist())
         if x is None:
             return None
-        mu = Measure(self.expand(x))
+        mu = Measure(tuple(x[c] for c in self._expand_map))
         return mu, exact_slacks(self.g, mu, t)[1]
 
 
@@ -269,7 +270,8 @@ def feasible(g: Graph, *, t: float) -> Measure | None:
     """Measure with mu >= 1 and all doubling ratios <= t, or None."""
     if not 1 <= t < math.inf:  # NaN fails this too
         raise ValidationError(f"candidate constant must be finite and >= 1, got {t!r}")
-    return FeasibilityProblem(g).check(t)
+    w = FeasibilityProblem(g).check(t)
+    return None if w is None else Measure(tuple(w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,6 @@ class OptimizationResult:
     minimizer: Measure
     lower_bound_spectral: float
     method_notes: dict
-    minimizer_report: DoublingReport
     perron_report: DoublingReport  # full report of the Perron measure
     classes: tuple[int, ...]  # reduction class of every vertex, numbered by first vertex
     certificate: Certificate | None = None
@@ -309,7 +310,6 @@ def least_doubling(
     tol: float = DEFAULT_BISECT_TOL,
     *,
     certificate: bool = False,
-    orbit_reduction: bool = True,
 ) -> OptimizationResult:
     """Compute C_G with a bracketing interval of width <= tol.
 
@@ -327,24 +327,26 @@ def least_doubling(
     if not 0 < tol < math.inf:  # NaN fails this too
         raise ValidationError("tolerance must be finite and > 0")
     dt = distances(g)
-    classes = _distance_classes(dt) if orbit_reduction else tuple(range(g.n))
-    c0, mu0 = _perron_pass(g)
-    masses0, report0 = _masses_and_report(g, dt, mu0)
-    counting_masses, counting = _masses_and_report(g, dt, counting_measure(g))
+    classes = _distance_classes(dt)
+    spectrum = perron(g)
+    c0, w0 = spectrum.c0, spectrum.eigvec
+    masses0, report0 = _masses_and_report(dt, w0)
+    ones = np.ones(g.n, dtype=np.int64)  # the counting measure, exact
+    counting_masses, counting = _masses_and_report(dt, ones)
     c_g_exact = counting.c_mu if max(classes) == 0 else None  # a single class
     # only what the run decided; diam2_shortcut stays because the perfbench tracer reads it
     notes: dict = {"diam2_shortcut": dt.diam <= 2, "lp_solves": 0}
 
-    # each measure's one ball-mass table gives its report and its LP row masses
+    # each measure's one ball-mass table gives its constant and its LP row masses
     if float(counting.c_mu) < float(report0.c_mu):
-        best_mu, minimizer_report, best = counting_measure(g), counting, counting_masses
+        best_w, c_best, best = ones, float(counting.c_mu), counting_masses
     else:
-        best_mu, minimizer_report, best = mu0, report0, masses0
+        best_w, c_best, best = w0, float(report0.c_mu), masses0
     t_lo = c0 if c_g_exact is None else float(c_g_exact)
-    t_hi = max(float(minimizer_report.c_mu), t_lo)
+    t_hi = max(c_best, t_lo)
     if t_hi - t_lo > tol:
         problem = FeasibilityProblem(g, classes)
-        x = problem.reduce(best_mu)
+        x = problem.reduce(best_w)
         den_x, num_x = problem.row_masses(best)
         batch = max(problem.n_vars, 8)
         active = np.zeros(problem.reduced_rows, dtype=bool)
@@ -362,9 +364,9 @@ def least_doubling(
             if found is None:
                 t_lo = t
                 continue
-            masses, report = _masses_and_report(g, dt, found)
+            masses, report = _masses_and_report(dt, found)
             if float(report.c_mu) < t_hi:
-                t_hi, best_mu, minimizer_report, best = float(report.c_mu), found, report, masses
+                t_hi, best_w, best = float(report.c_mu), found, masses
             # found is the full LP's optimum (the CFS step) once no inactive
             # row lies above the active maximum, and feasible at t once none
             # lies above 0; else add the inactive rows nearest to binding
@@ -374,26 +376,26 @@ def least_doubling(
             if rest.size and v[rest].max() > min(v[active].max(), 0.0):
                 active[rest[np.argsort(-v[rest], kind="stable")[:batch]]] = True
                 continue
-            x, t, last = problem.reduce(best_mu), _below(t_hi, tol), t
+            x, t, last = problem.reduce(best_w), _below(t_hi, tol), t
             den_x = problem.row_masses(best)[0]
             if t == last:  # no step below t_hi: found meets t only within check's 1e-11
                 raise ValidationError(
                     f"tolerance {tol!r} is finer than the LP's accuracy at t = {t!r}"
                 )
 
+    weights = best_w.tolist()  # Python floats, or the counting measure's ints
     cert = None
     if certificate:
-        exact_mu = Measure(tuple(Fraction(w) for w in best_mu.weights))
+        exact_mu = Measure(tuple(map(Fraction, weights)))
         t, slacks = exact_slacks(g, exact_mu)
         cert = Certificate(t=t, measure=exact_mu, slacks=slacks)
 
     return OptimizationResult(
         c_g=t_hi,
         bracket=(t_lo, t_hi),
-        minimizer=best_mu,
+        minimizer=Measure(tuple(weights)),
         lower_bound_spectral=c0,
         method_notes=notes,
-        minimizer_report=minimizer_report,
         perron_report=report0,
         classes=classes,
         certificate=cert,
@@ -407,12 +409,6 @@ def _below(t_hi: float, tol: float) -> float:
     while t_hi - t > tol:
         t = math.nextafter(t, t_hi)
     return t
-
-
-def _perron_pass(g: Graph) -> tuple[float, Measure]:
-    """C0 = 1 + r(A_G) and the Perron measure."""
-    spectrum = perron(g)
-    return spectrum.c0, Measure(tuple(float(w) for w in spectrum.eigvec))
 
 
 def _distance_classes(dt: DistanceTable) -> tuple[int, ...]:
@@ -449,8 +445,9 @@ def check_lemachorra(g: Graph) -> dict:
     Equality (within ``LEMACHORRA_TOL``) certifies C_G = C_G^0 without
     running the optimizer.
     """
-    c0, mu0 = _perron_pass(g)
-    return _lemachorra_record(c0, doubling_report(g, mu=mu0))
+    spectrum = perron(g)
+    mu0 = Measure(tuple(spectrum.eigvec.tolist()))
+    return _lemachorra_record(spectrum.c0, doubling_report(g, mu=mu0))
 
 
 def _lemachorra_record(c0: float, perron_report: DoublingReport) -> dict:

@@ -6,7 +6,8 @@ ratios on every point of a simplex grid and reduces by the Aut(G) orbits of
 refinement, so it does not share the reduction it checks.  The chromatic
 number serves Wilf's bound chi <= 1 + r(A); the mediant inequality and
 symmetrization under automorphisms are the averaging facts that make a
-class-constant minimizer exist.
+class-constant minimizer exist.  The D-type tree measure is the closed-form
+witness of C = 3 on D_n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from dublo import Graph, Measure, SizeCapError, ValidationError, distances, max_radius_index
 from dublo.doubling import Weight
+from dublo.families import is_d_n
 from dublo.symmetry import Perm, orbit_partition
 
 BRUTE_FORCE_VERTEX_CAP = 5
@@ -222,4 +224,16 @@ def symmetrize(mu: Measure, auts: list[Perm]) -> Measure:
     weights = []
     for v in range(n):
         weights.append(sum(mu[perm[v]] for perm in auts))
+    return Measure(tuple(weights))
+
+
+def d_infinity_measure(g: Graph) -> Measure:
+    """The weights (1 on the two fork leaves, 2 elsewhere) used for D-type trees."""
+    if not is_d_n(g):
+        raise ValidationError("d_infinity measure expects a D_n tree")
+    branch = next(v for v in range(g.n) if g.degree(v) == 3)
+    fork_leaves = [v for v in g.adj[branch] if g.degree(v) == 1]
+    weights = [2] * g.n
+    for v in fork_leaves:
+        weights[v] = 1
     return Measure(tuple(weights))

@@ -270,7 +270,7 @@ def test_criterion_09_property_suites():
         pairs_checked += 1
 
     # chromatic number bounded by c0 across the catalog
-    for name, g in catalog(max_n=64):
+    for name, g in catalog():
         ok = ok and chromatic_number(g) <= perron(g).c0 + 1e-9
 
     _report(9, ok, "mediant/symmetrization/convexity/monotone-feasibility (500 each), "

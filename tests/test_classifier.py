@@ -212,5 +212,5 @@ def test_tree_sweep_agrees_with_optimizer_n10():
 def test_catalog_agrees_with_optimizer():
     from dublo.families import catalog
 
-    for name, g in catalog(max_n=50):
+    for name, g in catalog():
         assert classify_leq3(g).verdict == _position(least_doubling(g).c_g), name

@@ -130,7 +130,7 @@ def test_float_and_exact_modes_agree():
         mu_float = Measure(tuple(float(w) for w in mu_int.weights))
         exact = doubling_report(g, mu=mu_int)
         approx = doubling_report(g, mu=mu_float)
-        assert exact.is_exact and not approx.is_exact
+        assert isinstance(exact.c_mu, Fraction) and not isinstance(approx.c_mu, Fraction)
         for pe, pf in zip(exact.per_k, approx.per_k):
             assert abs(float(pe.value) - pf.value) <= 1e-12
             assert pe.witness == pf.witness

@@ -18,7 +18,9 @@ from dublo import (
     perron,
     truncation_study,
 )
-from dublo.families import FAMILY_NAMES, FamilySpec, d_infinity_measure
+from dublo.families import FAMILY_NAMES, FamilySpec
+
+from oracles import d_infinity_measure
 
 
 def test_unknown_family_rejected():

@@ -277,15 +277,62 @@ UNREFERENCED_PUBLIC = {
 }
 
 
+def public_definitions(source: str) -> set[str]:
+    """Names of a module's top-level functions and classes that do not start with _."""
+    return {
+        top.name
+        for top in ast.parse(source).body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not top.name.startswith("_")
+    }
+
+
 def test_every_public_name_is_used_in_src_or_listed():
     # src/ holds the pipeline: a public name nothing in src/ uses is an entry point,
     # a tracer binding or a listed reference; test-only helpers live in tests/
-    used = set()
+    used, public = set(), set(dublo.__all__)
     for path in SRC.glob("*.py"):
+        source = path.read_text()
+        public |= public_definitions(source)
         if path.stem not in ("__init__", "__main__"):
-            used |= references_outside_definitions(path.read_text())
-    assert set(dublo.__all__) - used == set(UNREFERENCED_PUBLIC)
+            used |= references_outside_definitions(source)
+    assert public - used == set(UNREFERENCED_PUBLIC)
     assert set(UNREFERENCED_PUBLIC.values()) <= {"entry", "tracer", "reference"}
+
+
+def test_public_definition_finder_sees_every_form():
+    source = (
+        "def f():\n    def inner():\n        pass\nasync def g():\n    pass\n"
+        "class C:\n    def method(self):\n        pass\ndef _private():\n    pass\nh = f\n"
+    )
+    assert public_definitions(source) == {"f", "g", "C"}
+
+
+# the count of parameters with a default over every function in src/: each one
+# is a setting some caller may pass, so the count only goes down
+DEFAULTED_PARAMETERS = 18
+
+
+def defaulted_parameters(source: str) -> int:
+    """Positional defaults plus keyword-only defaults over every ``def`` in a module."""
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+    )
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    assert sum(defaulted_parameters(p.read_text()) for p in SRC.glob("*.py")) == DEFAULTED_PARAMETERS
+
+
+def test_defaulted_parameter_counter_sees_every_form():
+    source = (
+        "def f(a, b=1, *args, c, d=None, e=2, **kw):\n    def g(x=0):\n        pass\n"
+        "class C:\n    def m(self, y=3, *, z):\n        pass\nh = lambda q=1: q\n"
+    )
+    # b, d, e, x and y: a keyword-only default of None still counts; lambdas do not
+    assert defaulted_parameters(source) == 5
 
 
 def test_reference_finder_sees_every_form():

@@ -28,6 +28,7 @@ from dublo import (
     is_vertex_transitive,
     least_doubling,
     orbit_partition,
+    perron,
     poly_largest_root,
 )
 import dublo
@@ -46,6 +47,7 @@ from util import (
     random_tree,
     relabel,
     row_tables,
+    unreduced_least_doubling,
 )
 
 THREE_LEGS_ROOT = 2.086130197651494  # largest zero of x^3 + x^2 - 5x - 3
@@ -260,7 +262,7 @@ def test_a_failed_warm_run_is_retried_cold_once(monkeypatch):
     assert problem._highs.runs == (False, True, False)  # warm, then the retry cold
     assert problem.cold_retries == 1
     cold = FeasibilityProblem(g)
-    assert found == cold.check(3.1) and cold._highs.runs == (False,)
+    assert np.array_equal(found, cold.check(3.1)) and cold._highs.runs == (False,)
     iterations = [p._highs.getInfo().simplex_iteration_count for p in (problem, cold)]
     assert iterations[0] == iterations[1] > 0
     # a cold run that fails is no longer retried
@@ -332,8 +334,14 @@ def _spoil_ratio(a, w):
     return spoiled
 
 
+def _spoil_nan(a, w):
+    # both re-checks compare false on NaN, so check must reject it by name
+    return np.where(w == w.min(), np.nan, w)
+
+
 @pytest.mark.parametrize("spoil, reason", [(_spoil_cone, "cone boundary"),
-                                           (_spoil_ratio, "direct ratio exceeds t")])
+                                           (_spoil_ratio, "direct ratio exceeds t"),
+                                           (_spoil_nan, "non-finite weight")])
 def test_refused_lp_answer_is_an_error_not_a_lower_end(monkeypatch, capsys, spoil, reason):
     # an accepted LP answer that fails the re-checks is no evidence of
     # infeasibility: least_doubling stops with exit 4 instead of making t_lo = t
@@ -396,11 +404,10 @@ def test_row_masses_are_the_reference_rows_times_the_reduced_weights():
         dt = distances(g)
         classes = optimizer._distance_classes(dt)
         problem = FeasibilityProblem(g, classes)
-        mu = perron_measure(g)
-        x = np.array([mu[v] for v in problem.reps])
-        got = problem.row_masses(_masses_and_report(g, dt, mu)[0])
+        w = perron(g).eigvec
+        got = problem.row_masses(_masses_and_report(dt, w)[0])
         for a, table in zip(got, row_tables(dt.dist, dt.diam, classes)):
-            assert a == pytest.approx(table @ x, rel=1e-13)
+            assert a == pytest.approx(table @ w[problem.reps], rel=1e-13)
 
 
 def test_feasibility_problem_constraint_count():
@@ -419,8 +426,8 @@ def test_feasibility_problem_orbit_reduction_rows():
     assert problem.n_vars == 3
     assert problem.reduced_rows == 3 * 3
     assert problem.constraint_count == 7 * 3  # full count unchanged
-    mu = problem.check(3.2)
-    assert mu is not None and len(mu) == 7  # expanded back to vertices
+    w = problem.check(3.2)
+    assert w is not None and len(w) == 7  # expanded back to vertices
 
 
 def test_monotone_feasibility_random():
@@ -440,9 +447,9 @@ def test_row_subset_answer_is_not_full_feasibility():
     g = generate(FamilySpec("three_legs"))
     problem = FeasibilityProblem(g)
     radius0 = np.arange(problem.n_vars)
-    mu = problem.check(3.05, radius0)
-    assert mu is not None and len(mu) == 7
-    assert float(doubling_report(g, mu=mu).c_mu) > 3.05
+    w = problem.check(3.05, radius0)
+    assert w is not None and len(w) == 7
+    assert float(doubling_report(g, mu=Measure(tuple(w.tolist()))).c_mu) > 3.05
     assert problem.check(3.05) is None
 
 
@@ -522,7 +529,7 @@ def test_sandwich_invariant():
         g = random_connected_graph(rand, rand.randint(2, 8))
         res = least_doubling(g)
         assert res.c_g >= res.lower_bound_spectral - 1e-9
-        assert float(res.minimizer_report.c_mu) <= res.bracket[1] + 1e-9
+        assert float(doubling_report(g, mu=res.minimizer).c_mu) <= res.bracket[1] + 1e-9
         assert min(res.minimizer.weights) > 0
         if distances(g).diam <= 2 or set(res.classes) == {0}:
             assert res.method_notes["lp_solves"] == 0
@@ -595,8 +602,8 @@ def test_tolerance_finer_than_the_lp_is_rejected():
 def test_minimizer_sum_stays_optimal():
     # two routes to a minimizer; their sum must again be (near-)minimal
     g = generate(FamilySpec("three_legs"))
-    a = least_doubling(g, orbit_reduction=True).minimizer
-    b = least_doubling(g, orbit_reduction=False).minimizer
+    a = least_doubling(g).minimizer
+    b = unreduced_least_doubling(g).minimizer
     combined = Measure(tuple(x + y for x, y in zip(a.weights, b.weights)))
     c_g = least_doubling(g).c_g
     assert float(doubling_report(g, mu=combined).c_mu) <= c_g + 1e-8
@@ -629,7 +636,7 @@ def test_single_class_bracket_is_the_counting_constant():
         assert res.bracket == (c, c) and res.c_g == c
     # Doyle's counting constant 27/5 is above C0 = 5, so the unreduced LP bisects
     doyle = generate(FamilySpec("doyle"))
-    unreduced = least_doubling(doyle, orbit_reduction=False)
+    unreduced = unreduced_least_doubling(doyle)
     assert unreduced.method_notes["lp_solves"] > 0
     assert abs(unreduced.c_g - least_doubling(doyle).c_g) <= 1e-8
 
@@ -802,6 +809,26 @@ def test_each_measure_gets_one_ball_mass_pass(monkeypatch):
         least_doubling(g)
         assert answers, g.edges()
         assert passes == [g.n] * (2 + sum(a is not None for a in answers)), g.edges()
+
+
+@pytest.mark.parametrize("certificate", [False, True])
+def test_least_doubling_builds_a_measure_only_for_its_result(monkeypatch, certificate):
+    # start measures and LP answers stay weight arrays: the minimizer, and with
+    # a certificate its exact copy, are the only Measures a run builds
+    built = []
+    post_init = Measure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Measure, "__post_init__", counted)
+    for g in (hub_tail(8), generate(FamilySpec("three_legs")), generate(FamilySpec("petersen"))):
+        built.clear()
+        res = least_doubling(g, certificate=certificate)
+        reported = [res.minimizer] + ([res.certificate.measure] if certificate else [])
+        assert len(built) == len(reported), (g.n, len(built))
+        assert {id(mu) for mu in built} == {id(mu) for mu in reported}
 
 
 def test_max_ratio_is_the_report_constant():

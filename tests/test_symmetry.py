@@ -27,7 +27,7 @@ from dublo import symmetry
 from dublo.symmetry import DEFAULT_GROUP_LIMIT
 
 from oracles import symmetrize
-from util import G10, G18, random_connected_graph, random_int_measure
+from util import G10, G18, random_connected_graph, random_int_measure, unreduced_least_doubling
 
 
 def test_k4_group_order_24():
@@ -217,8 +217,8 @@ def test_orbit_reduced_and_full_lp_agree():
     rand = random.Random(1307)
     others = [G18, G10] + [random_connected_graph(rand, rand.randint(2, 9)) for _ in range(12)]
     for i, g in enumerate([generate(spec) for spec in specs] + others):
-        reduced = least_doubling(g, tol=1e-9, orbit_reduction=True)
-        full = least_doubling(g, tol=1e-9, orbit_reduction=False)
+        reduced = least_doubling(g, tol=1e-9)
+        full = unreduced_least_doubling(g, tol=1e-9)
         assert abs(reduced.c_g - full.c_g) <= 5e-9, g.edges()
         assert max(reduced.classes) + 1 < g.n or i >= len(specs)
         assert full.classes == tuple(range(g.n))

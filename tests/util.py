@@ -11,10 +11,11 @@ import functools
 import random
 from collections import deque
 from itertools import chain, permutations, product
+from unittest import mock
 
 import numpy as np
 
-from dublo import Graph, Measure, perron
+from dublo import Graph, Measure, OptimizationResult, least_doubling, optimizer, perron
 
 
 def random_connected_graph(rand: random.Random, n: int, extra: float = 0.3) -> Graph:
@@ -97,6 +98,12 @@ def random_float_measure(rand: random.Random, n: int) -> Measure:
 def perron_measure(g: Graph) -> Measure:
     """The Perron eigenvector, min entry 1, as a measure: it flattens every B(v,1)/mu(v)."""
     return Measure(tuple(float(w) for w in perron(g).eigvec))
+
+
+def unreduced_least_doubling(g: Graph, **kw) -> OptimizationResult:
+    """``least_doubling`` on the unreduced LP: every vertex is its own class."""
+    with mock.patch.object(optimizer, "_distance_classes", lambda dt: tuple(range(g.n))):
+        return least_doubling(g, **kw)
 
 
 def hub_tail(leaves: int) -> Graph:
