@@ -24,7 +24,6 @@ from .families import (
     expected_constant,
     generate,
     poly_largest_root,
-    smith_c0_table,
     truncation_study,
 )
 from .graphs import (
@@ -95,7 +94,6 @@ __all__ = [
     "parse_graph6",
     "perron",
     "poly_largest_root",
-    "smith_c0_table",
     "structural_facts",
     "structural_lower_bound",
     "truncation_study",

@@ -19,7 +19,9 @@ from .families import SMITH_TREES, FamilySpec, expected_constant, is_d_hat, is_d
 from .graphs import Graph, structural_facts
 from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 
-_D_STRICT_MARGIN = 1e-7
+# a computed C_G this close to 3 reads as 3, both in the D_n verdict and in the
+# cross-check of every verdict
+_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -88,41 +90,38 @@ def classify_leq3(
     else:
         legs = spider_legs(g)  # a tree with one branch vertex is a spider
         tree = next((name for name, t in SMITH_TREES.items() if t.legs == legs), None)
+        expected = None if tree is None else expected_constant(FamilySpec(tree))
         if is_d_n(g):
             numeric = least_doubling(g, tol)
-            if numeric.c_g < 3 - _D_STRICT_MARGIN:
-                verdict, family = "leq3_strict", "D_n"
+            family = "D_n"
+            if _position(numeric.c_g) == "leq3_strict":
+                verdict = "leq3_strict"
                 reasons.append(
                     f"D-family tree: C <= 3 always, C = {numeric.c_g:.9f} < 3 numerically"
                 )
             else:
-                verdict, family = "eq3", "D_n"
+                verdict = "eq3"
                 reasons.append("D-family tree: C <= 3 always, value within margin of 3")
-        elif tree in ("e6", "e7"):
+        elif expected is None:
+            verdict = "gt3"
+            reasons.append("spider tree strictly containing an extended tree, so C0 > 3")
+        elif expected.proven == "strict_upper_bound" and expected.c_g <= 3:
             verdict, family = "leq3_strict", tree.upper()
             reasons.append(f"{family} tree: C < 3")
-        elif tree == "e8":
+        elif expected.proven == "lower_bound_only":
             verdict = "gt3"
             reasons.append(
-                "E8 tree: spectral radius below 2 but "
-                f"C >= {expected_constant(FamilySpec('e8')).c_g:.7f} "
+                f"{tree.upper()} tree: spectral radius below 2 but C >= {expected.c_g:.7f} "
                 "(largest root of its ratio polynomial)"
-            )
-        elif tree is not None:
-            verdict = "gt3"
-            reasons.append(
-                "extended tree with spectral radius exactly 2 but C > 3"
             )
         else:
             verdict = "gt3"
-            reasons.append(
-                "spider tree strictly containing an extended tree, so C0 > 3"
-            )
+            reasons.append("extended tree with spectral radius exactly 2 but C > 3")
 
     if cross_check:
         if numeric is None:
             numeric = least_doubling(g, tol)
-        position = _position(numeric.c_g, margin=1e-6)
+        position = _position(numeric.c_g)
         if position != verdict:
             raise SolverError(
                 f"classification {verdict} disagrees with optimizer "
@@ -132,9 +131,10 @@ def classify_leq3(
     return ClassificationVerdict(verdict, family, tuple(reasons), numeric)
 
 
-def _position(c_g: float, margin: float) -> str:
-    if c_g < 3 - margin:
+def _position(c_g: float) -> str:
+    """Where a computed C_G lies relative to 3, with the one margin of every verdict."""
+    if c_g < 3 - _MARGIN:
         return "leq3_strict"
-    if c_g > 3 + margin:
+    if c_g > 3 + _MARGIN:
         return "gt3"
     return "eq3"

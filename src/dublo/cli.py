@@ -288,9 +288,9 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
-# (group, row name, family) of every verify row whose expected value is
-# expected_constant(family).c_g
-_CLOSED_FORM_ROWS = (
+# (group, row name, family) of every constant row: expected_constant(family)
+# states the value, and its kind picks the comparison
+_CONSTANT_ROWS = (
     [("complete", f"complete_n{n}", FamilySpec("complete", n=n)) for n in range(3, 9)]
     + [("star", f"star_n{n}", FamilySpec("star", n=n)) for n in range(2, 10)]
     + [("cycle", f"cycle_n{n}", FamilySpec("cycle", n=n)) for n in range(3, 13)]
@@ -301,54 +301,48 @@ _CLOSED_FORM_ROWS = (
     + [("wheel", f"wheel_n{n}", FamilySpec("wheel", n=n)) for n in range(5, 11)]
     + [("friendship", f"friendship_n{n}", FamilySpec("friendship", n=n)) for n in range(1, 6)]
     + [("cocktail_party", f"cocktail_n{n}", FamilySpec("cocktail_party", n=n)) for n in range(2, 6)]
-    + [(name, name, FamilySpec(name)) for name in ("petersen", "hoffman_singleton")]
+    + [(name, name, FamilySpec(name)) for name in ("petersen", "hoffman_singleton", "three_legs")]
+    + [
+        ("doyle", "doyle_27_5", FamilySpec("doyle")),
+        ("e8", "e8_lower_bound", FamilySpec("e8")),
+        ("e6", "e6_below_3", FamilySpec("e6")),
+        ("e7", "e7_below_3", FamilySpec("e7")),
+    ]
 )
+
+# the tolerance of each kind of stated constant; a literature value is met to 1e-4
+_KIND_TOL = {"exact": 1e-6, "lower_bound_only": 1e-4, "strict_upper_bound": 1e-9}
 
 
 def _verify_rows(config: RunConfig, only: str | None):
     """(group, name, fn) rows, fn() -> (measured, expected, tol, passed); see families."""
-    tol_c = 1e-6
-
-    def run(g, **kw):
-        return optimizer.least_doubling(g, tol=config.tolerance_bisect, **kw)
 
     def family(spec):
         return families.generate(spec, cap=config.size_cap)
 
-    def closed_form_row(spec):
-        value, expected = run(family(spec)).c_g, families.expected_constant(spec).c_g
-        return value, expected, tol_c, abs(value - expected) <= tol_c
+    def constant_row(spec):
+        expected = families.expected_constant(spec)
+        value, kind = expected.c_g, expected.proven
+        tol = _KIND_TOL[kind]
+        res = optimizer.least_doubling(
+            family(spec), tol=config.tolerance_bisect, certificate=kind == "strict_upper_bound"
+        )
+        if kind == "strict_upper_bound":  # exact t, more than tol (as a decimal) below
+            exact = res.certificate.t
+            return float(exact), value, tol, exact < Fraction(value) - Fraction(str(tol))
+        if kind == "lower_bound_only":
+            return res.c_g, value, tol, res.c_g >= value - tol
+        ok = abs(res.c_g - value) <= tol
+        if expected.c_g_exact is not None:
+            ok = ok and res.c_g_exact == expected.c_g_exact
+        if expected.literature_value is not None:
+            ok = ok and abs(res.c_g - expected.literature_value) <= 1e-4
+        return res.c_g, value, tol, ok
 
     rows = [
-        (group, name, lambda spec=spec: closed_form_row(spec))
-        for group, name, spec in _CLOSED_FORM_ROWS
+        (group, name, lambda spec=spec: constant_row(spec))
+        for group, name, spec in _CONSTANT_ROWS
     ]
-
-    def three_legs_row():
-        spec = FamilySpec("three_legs")
-        value = run(family(spec)).c_g
-        root = families.expected_constant(spec).c_g
-        ok = abs(value - root) <= 1e-6 and abs(value - 3.0861) <= 1e-4
-        return value, root, 1e-6, ok
-
-    def doyle_row():
-        spec = FamilySpec("doyle")
-        expected = families.expected_constant(spec)
-        res = run(family(spec))  # one reduction class, so c_g_exact is the counting constant
-        ok = res.c_g_exact == expected.c_g_exact and abs(res.c_g - expected.c_g) <= tol_c
-        return res.c_g, expected.c_g, tol_c, ok
-
-    def e8_row():
-        spec = FamilySpec("e8")
-        bound = families.expected_constant(spec).c_g
-        value = run(family(spec)).c_g
-        return value, bound, 1e-4, value >= bound - 1e-4
-
-    def strict_lt3(name):
-        res = run(family(FamilySpec(name)), certificate=True)
-        assert res.certificate is not None
-        exact = res.certificate.t
-        return float(exact), 3.0, 1e-9, exact < 3 - Fraction(1, 10**9)
 
     def smith_row():
         specs = [FamilySpec("path", n=n) for n in range(1, 31)]
@@ -359,24 +353,21 @@ def _verify_rows(config: RunConfig, only: str | None):
         worst = 0.0
         for spec in specs:
             c0 = spectral.perron(family(spec)).c0
-            worst = max(worst, abs(c0 - families.smith_c0_table(spec)))
+            worst = max(worst, abs(c0 - families.expected_constant(spec).c0))
         return worst, 0.0, 1e-9, worst <= 1e-9
+
+    threshold = families.PATH_C0_EQUALITY_MAX_N
 
     def path_threshold_row():
         good = True
         for n in range(2, 13):
             rec = optimizer.check_lemachorra(family(FamilySpec("path", n=n)))
-            good &= rec["equal"] if n <= 8 else rec["c_mu0_full"] - rec["c0"] > 1e-4
+            good &= rec["equal"] if n <= threshold else rec["c_mu0_full"] - rec["c0"] > 1e-4
         return float(good), 1.0, 0.0, good
 
     rows += [
-        ("three_legs", "three_legs", three_legs_row),
-        ("doyle", "doyle_27_5", doyle_row),
-        ("e8", "e8_lower_bound", e8_row),
-        ("e6", "e6_below_3", lambda: strict_lt3("e6")),
-        ("e7", "e7_below_3", lambda: strict_lt3("e7")),
         ("smith", "smith_c0_table", smith_row),
-        ("path_threshold", "path_threshold_n8", path_threshold_row),
+        ("path_threshold", f"path_threshold_n{threshold}", path_threshold_row),
     ]
     return [row for row in rows if only is None or row[0] == only]
 

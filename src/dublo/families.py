@@ -4,8 +4,9 @@ This module is the one home of the family facts: each family's parameters
 and their minimums (enforced by ``FamilySpec``, which also rejects a
 parameter the family does not take), the Smith trees' legs and Coxeter
 numbers (``SMITH_TREES``), and the closed forms: ``expected_constant``
-states C_G and C0 for every family that has one, and ``smith_c0_table`` holds
-the spectral closed forms C0 = 1 + 2cos(pi/h) (h the Coxeter number).
+states C_G and C0 for every family that has one (for the Smith families
+C0 = 1 + 2cos(pi/h), h the Coxeter number), and its kind says how a
+computed C_G is checked against it.
 
 Each generator re-validates its output (degrees and edge counts, which with
 connectivity pin the simple families and their diameters, strongly-regular
@@ -23,8 +24,8 @@ leaf on its third vertex; the hatted (extended) versions are the trees with
 adjacency spectral radius exactly 2.  The D and E trees and their extensions
 are pinned up to isomorphism by the recognizers ``spider_legs``, ``is_d_n``
 and ``is_d_hat``, which the classifier also uses to name them; no generator
-computes a spectrum.  That the pinned trees have the radii of
-``smith_c0_table`` is checked by ``dublo verify``'s ``smith_c0_table`` row.
+computes a spectrum.  That the pinned trees have the stated C0 is checked by
+``dublo verify``'s ``smith_c0_table`` row.
 """
 
 from __future__ import annotations
@@ -212,11 +213,23 @@ class FamilySpec:
                 raise ValidationError(f"family {self.family!r} needs {param} >= {takes[param]}")
 
 
+# the largest n with C_G(L_n) = C0(L_n)
+PATH_C0_EQUALITY_MAX_N = 8
+
+
 @dataclass(frozen=True)
 class ExpectedConstant:
+    """The stated constants of a family; ``proven`` says what ``c_g`` is.
+
+    "exact": C_G equals c_g (and c_g_exact, when given); "lower_bound_only":
+    C_G >= c_g; "strict_upper_bound": C_G < c_g; "c0_only": only C0 is stated.
+    A ``literature_value`` is a value printed in the literature; where it
+    disagrees, the note says why (Clebsch).
+    """
+
     c_g: float | None
     c0: float
-    proven: str  # "exact" | "lower_bound_only" | "c0_only"
+    proven: str
     c_g_exact: Fraction | None = None
     literature_value: float | None = None
     note: str | None = None
@@ -294,24 +307,13 @@ def _legs_tree(legs: tuple[int, ...], cap: int) -> Graph:
     return Graph.from_edges(nxt, edges, cap=cap)
 
 
-def smith_c0_table(spec: FamilySpec) -> float:
-    """Closed-form C0 for the spectral-radius-two catalog and its neighbors.
+def _smith_c0(coxeter: int | None) -> float:
+    """C0 = 1 + 2cos(pi/h) of a Dynkin tree with Coxeter number h, or 3 for radius 2 (h None).
 
     The Dynkin trees A_n (paths), D_n and E6-E8 have spectral radius
-    2cos(pi/h), h their Coxeter number; cycles and the extended (hatted)
-    trees have radius exactly 2 (Smith's theorem).
+    2cos(pi/h); cycles and the extended (hatted) trees have radius exactly 2
+    (Smith's theorem).
     """
-    fam = spec.family
-    if fam in ("cycle", "d_hat_n"):
-        return 3.0
-    if fam == "path":
-        coxeter = spec.n + 1
-    elif fam == "d_n":
-        coxeter = 2 * (spec.n - 1)
-    elif fam in SMITH_TREES:
-        coxeter = SMITH_TREES[fam].coxeter
-    else:
-        raise ValidationError(f"no Smith closed form for family {fam!r}")
     return 3.0 if coxeter is None else 1 + 2 * math.cos(math.pi / coxeter)
 
 
@@ -500,11 +502,11 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
     if fam == "star":
         return ExpectedConstant(1 + math.sqrt(n), 1 + math.sqrt(n), "exact")
     if fam == "cycle":
-        return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
+        return ExpectedConstant(3.0, _smith_c0(None), "exact", Fraction(3))
     if fam == "path":
         return ExpectedConstant(
-            None, smith_c0_table(spec), "c0_only",
-            note="C < 3 with C -> 3 as n grows; C equals c0 iff n <= 8",
+            None, _smith_c0(n + 1), "c0_only",
+            note=f"C < 3 with C -> 3 as n grows; C equals c0 iff n <= {PATH_C0_EQUALITY_MAX_N}",
         )
     if fam == "complete_bipartite":
         value = 1 + math.sqrt(spec.m * n)
@@ -531,29 +533,28 @@ def expected_constant(spec: FamilySpec) -> ExpectedConstant:
         )
     if fam == "d_n":
         return ExpectedConstant(
-            None, smith_c0_table(spec), "c0_only",
+            None, _smith_c0(2 * (n - 1)), "c0_only",
             note="upper bound 3 is known exactly; strictness is reported numerically per n",
         )
     if fam == "d_hat_n":
-        return ExpectedConstant(3.0, smith_c0_table(spec), "exact", Fraction(3))
-    if fam in ("e6", "e7"):
-        return ExpectedConstant(
-            None, smith_c0_table(spec), "c0_only",
-            note="C < 3, certified by an exact-rational measure",
-        )
-    if fam == "e8":
-        bound = poly_largest_root(E8_RATIO_POLY)
-        return ExpectedConstant(
-            bound, smith_c0_table(spec), "lower_bound_only",
-            note="C >= largest root of its ratio polynomial; equality not asserted",
-        )
-    if fam in ("e6_hat", "three_legs"):
-        value = 1 + poly_largest_root(THREE_LEGS_POLY)
-        return ExpectedConstant(value, smith_c0_table(spec), "exact")
-    if fam in ("e7_hat", "e8_hat"):
-        return ExpectedConstant(
-            None, smith_c0_table(spec), "c0_only", note="C > 3 (Perron-measure comparison)"
-        )
+        return ExpectedConstant(3.0, _smith_c0(None), "exact", Fraction(3))
+    if fam in SMITH_TREES:
+        c0 = _smith_c0(SMITH_TREES[fam].coxeter)
+        if fam in ("e6", "e7"):
+            return ExpectedConstant(
+                3.0, c0, "strict_upper_bound", note="C < 3, certified by an exact-rational measure"
+            )
+        if fam == "e8":
+            return ExpectedConstant(
+                poly_largest_root(E8_RATIO_POLY), c0, "lower_bound_only",
+                note="C >= largest root of its ratio polynomial; equality not asserted",
+            )
+        if fam in ("e7_hat", "e8_hat"):
+            return ExpectedConstant(None, c0, "c0_only", note="C > 3 (Perron-measure comparison)")
+        # e6_hat, also named three_legs; the paper prints the value under that name
+        literature = 3.0861 if fam == "three_legs" else None
+        return ExpectedConstant(1 + poly_largest_root(THREE_LEGS_POLY), c0, "exact",
+                                literature_value=literature)
     if fam == "doyle":
         return ExpectedConstant(5.4, 5.0, "exact", Fraction(27, 5))
     raise ValidationError(f"family {spec.family!r} has no stated constant")

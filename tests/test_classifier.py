@@ -1,16 +1,16 @@
 """Structural C <= 3 classification against the optimizer and closed forms."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from dublo import (
-    ValidationError,
     classify_leq3,
+    expected_constant,
     generate,
     least_doubling,
     perron,
-    smith_c0_table,
     structural_lower_bound,
 )
 from dublo.families import FamilySpec
@@ -145,40 +145,54 @@ def test_cross_check_agrees():
         assert v.numeric_cross_check is not None
 
 
+def test_d_n_verdict_and_cross_check_read_one_margin(monkeypatch):
+    # a D_n value 5e-7 below 3: the verdict and the cross-check place it alike
+    from dublo import classifier
+
+    def near_three(g, tol):
+        return replace(least_doubling(g, tol), c_g=3 - 5e-7)
+
+    monkeypatch.setattr(classifier, "least_doubling", near_three)
+    v = classify_leq3(generate(FamilySpec("d_n", n=8)), cross_check=True)
+    assert (v.verdict, v.family_match) == ("leq3_strict", "D_n")
+    assert v.numeric_cross_check.c_g == 3 - 5e-7
+
+
 # ---------------------------------------------------------------- smith table
 
 
+def smith_c0(spec: FamilySpec) -> float:
+    return expected_constant(spec).c0
+
+
 def test_smith_values():
-    assert smith_c0_table(FamilySpec("e6")) == pytest.approx(1 + 2 * math.cos(math.pi / 12))
-    assert smith_c0_table(FamilySpec("e6")) == pytest.approx(2.931852, abs=1e-6)
-    assert smith_c0_table(FamilySpec("d_n", n=5)) == pytest.approx(2.847759, abs=1e-6)
-    assert smith_c0_table(FamilySpec("e6_hat")) == 3.0
-    assert smith_c0_table(FamilySpec("cycle", n=11)) == 3.0
-    assert smith_c0_table(FamilySpec("path", n=4)) == pytest.approx(
-        1 + 2 * math.cos(math.pi / 5)
-    )
+    assert smith_c0(FamilySpec("e6")) == pytest.approx(1 + 2 * math.cos(math.pi / 12))
+    assert smith_c0(FamilySpec("e6")) == pytest.approx(2.931852, abs=1e-6)
+    assert smith_c0(FamilySpec("d_n", n=5)) == pytest.approx(2.847759, abs=1e-6)
+    assert smith_c0(FamilySpec("e6_hat")) == 3.0
+    assert smith_c0(FamilySpec("cycle", n=11)) == 3.0
+    assert smith_c0(FamilySpec("path", n=4)) == pytest.approx(1 + 2 * math.cos(math.pi / 5))
 
 
 def test_smith_table_has_one_home():
-    from dublo import classifier, families
+    import dublo
+    from dublo import classifier, cli, families
 
-    # the facade takes it from families; no other module re-exports it
-    assert smith_c0_table is families.smith_c0_table
-    assert "smith_c0_table" not in vars(classifier)
-
-
-def test_smith_unsupported():
-    with pytest.raises(ValidationError):
-        smith_c0_table(FamilySpec("petersen"))
+    # the Smith closed form is a private helper of expected_constant, named nowhere else
+    assert "smith_c0_table" not in dublo.__all__
+    for module in (dublo, classifier, cli, families):
+        assert not hasattr(module, "smith_c0_table"), module
+    for module in (dublo, classifier, cli):
+        assert not hasattr(module, "_smith_c0"), module
 
 
 def test_smith_matches_spectral_module():
     for n in range(2, 31):
         g = generate(FamilySpec("path", n=n))
-        assert abs(smith_c0_table(FamilySpec("path", n=n)) - perron(g).c0) <= 1e-9
+        assert abs(smith_c0(FamilySpec("path", n=n)) - perron(g).c0) <= 1e-9
     for n in range(4, 31):
         g = generate(FamilySpec("d_n", n=n))
-        assert abs(smith_c0_table(FamilySpec("d_n", n=n)) - perron(g).c0) <= 1e-9
+        assert abs(smith_c0(FamilySpec("d_n", n=n)) - perron(g).c0) <= 1e-9
 
 
 # ---------------------------------------------------------------- tree sweep

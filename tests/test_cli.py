@@ -2,13 +2,14 @@
 
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from dublo import graphs, write_graph6
-from dublo.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, RunConfig, main
+from dublo import families, graphs, write_graph6
+from dublo.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY_FAIL, RunConfig, main
+from dublo.families import FamilySpec
 
 from util import G10, connected_graphs_exactly
 
@@ -299,6 +300,94 @@ def test_verify_full_run_all_rows_pass(capsys):
     assert payload["failures"] == 0
     assert all(row["pass"] for row in payload["rows"])
     assert len(payload["rows"]) >= 45
+
+
+# every verify row as the table prints it: (group, name, expected, tol), in order
+VERIFY_TABLE = (
+    [("complete", f"complete_n{n}", float(n), 1e-6) for n in range(3, 9)]
+    + [
+        ("star", f"star_n{n}", value, 1e-6)
+        for n, value in zip(range(2, 10), (
+            2.41421356237, 2.73205080757, 3.0, 3.2360679775, 3.44948974278, 3.64575131106,
+            3.82842712475, 4.0,
+        ))
+    ]
+    + [("cycle", f"cycle_n{n}", 3.0, 1e-6) for n in range(3, 13)]
+    + [
+        ("bipartite", "K_1_2", 2.41421356237, 1e-6),
+        ("bipartite", "K_2_3", 3.44948974278, 1e-6),
+        ("bipartite", "K_3_3", 4.0, 1e-6),
+        ("bipartite", "K_2_5", 4.16227766017, 1e-6),
+    ]
+    + [
+        ("wheel", f"wheel_n{n}", value, 1e-6)
+        for n, value in zip(range(5, 11), (
+            4.2360679775, 4.44948974278, 4.64575131106, 4.82842712475, 5.0, 5.16227766017,
+        ))
+    ]
+    + [
+        ("friendship", f"friendship_n{n}", value, 1e-6)
+        for n, value in zip(range(1, 6), (
+            3.0, 3.56155281281, 4.0, 4.37228132327, 4.70156211872,
+        ))
+    ]
+    + [("cocktail_party", f"cocktail_n{n}", 2.0 * n - 1, 1e-6) for n in range(2, 6)]
+    + [
+        ("petersen", "petersen", 4.0, 1e-6),
+        ("hoffman_singleton", "hoffman_singleton", 8.0, 1e-6),
+        ("three_legs", "three_legs", 3.08613019765, 1e-6),
+        ("doyle", "doyle_27_5", 5.4, 1e-6),
+        ("e8", "e8_lower_bound", 3.02058330252, 1e-4),
+        ("e6", "e6_below_3", 3.0, 1e-9),
+        ("e7", "e7_below_3", 3.0, 1e-9),
+        ("smith", "smith_c0_table", 0.0, 1e-9),
+        ("path_threshold", "path_threshold_n8", 1.0, 0.0),
+    ]
+)
+
+
+def test_verify_table_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    rows = json.loads(out)["rows"]
+    assert code == EXIT_OK and len(rows) == 52
+    assert [(r["group"], r["name"], r["expected"], r["tol"]) for r in rows] == VERIFY_TABLE
+
+
+# one stated fact per row kind, each changed so that its row alone must fail
+STATED_FACT_CHANGES = [
+    ("complete_n5", FamilySpec("complete", n=5), {"c_g": 5.5}),
+    ("doyle_27_5", FamilySpec("doyle"), {"c_g_exact": Fraction(28, 5)}),
+    ("three_legs", FamilySpec("three_legs"), {"literature_value": 3.2}),
+    ("e8_lower_bound", FamilySpec("e8"), {"c_g": 3.5}),
+    ("e6_below_3", FamilySpec("e6"), {"c_g": 2.9}),
+    ("smith_c0_table", FamilySpec("e7"), {"c0": 2.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "row, spec, change", STATED_FACT_CHANGES, ids=[c[0] for c in STATED_FACT_CHANGES]
+)
+def test_verify_reads_each_stated_fact(monkeypatch, capsys, row, spec, change):
+    stated = families.expected_constant
+
+    def changed(asked):
+        expected = stated(asked)
+        return replace(expected, **change) if asked == spec else expected
+
+    monkeypatch.setattr(families, "expected_constant", changed)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == EXIT_VERIFY_FAIL
+    assert [r["name"] for r in json.loads(out)["rows"] if not r["pass"]] == [row]
+
+
+def test_verify_reads_the_path_threshold(monkeypatch, capsys):
+    monkeypatch.setattr(families, "PATH_C0_EQUALITY_MAX_N", families.PATH_C0_EQUALITY_MAX_N - 1)
+    code, out, _ = run_cli(capsys, "verify", "--output", "text")
+    assert code == EXIT_VERIFY_FAIL
+    assert [ln for ln in out.splitlines() if not ln.startswith("PASS")] == [
+        "FAIL path_threshold_n7: measured=0 expected=1 tol=0",
+        "51/52 rows passed",
+    ]
 
 
 def test_truncate_d_infinity_c0_below_3(capsys):

@@ -155,6 +155,18 @@ def test_environment_finder_sees_every_form():
     assert environment_reads(source) == [2, 3, 4, 5]
 
 
+def fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new Python process that imports dublo from src/."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def modules_after_compute(
     family: str, modules: tuple[str, ...] = ("scipy.optimize", "scipy.optimize._highspy._core")
 ) -> list[str]:
@@ -165,15 +177,7 @@ def modules_after_compute(
         f"code = main(['compute', '--family', {family!r}])\n"
         f"print(code, *(name in sys.modules for name in {modules!r}), file=sys.stderr)\n"
     )
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    return done.stderr.split()
+    return fresh_interpreter(script).stderr.split()
 
 
 def test_compute_without_lp_leaves_scipy_optimize_unloaded():
@@ -188,6 +192,23 @@ def test_lp_loads_the_highs_binding_without_scipy_optimize():
 def test_compute_leaves_multiprocessing_unloaded():
     # only batch with more than one worker starts a process pool
     assert modules_after_compute("three_legs", ("multiprocessing",)) == ["0", "False"]
+
+
+def test_importing_the_cli_loads_no_heavy_module_and_builds_no_family():
+    # start-up is import time: the verify table holds specs, and no solver loads
+    script = (
+        "import sys\nfrom dublo import families\ncalls = []\n"
+        "for name in ('expected_constant', 'generate'):\n"
+        "    def counted(*a, _f=getattr(families, name), _n=name, **kw):\n"
+        "        calls.append(_n)\n"
+        "        return _f(*a, **kw)\n"
+        "    setattr(families, name, counted)\n"
+        "import dublo.cli\n"
+        "heavy = ('scipy', 'sympy', 'multiprocessing', 'concurrent')\n"
+        "print(calls, [name for name in heavy if name in sys.modules])\n"
+    )
+    done = fresh_interpreter(script)
+    assert done.stdout.split() == ["[]", "[]"], done.stderr
 
 
 def exactlp_sites(source: str) -> set[str]:
@@ -306,6 +327,11 @@ def test_public_definition_finder_sees_every_form():
         "class C:\n    def method(self):\n        pass\ndef _private():\n    pass\nh = f\n"
     )
     assert public_definitions(source) == {"f", "g", "C"}
+
+
+def test_public_name_count_does_not_grow():
+    # a ratchet: a new public name replaces one, or this count is lowered with it
+    assert len(dublo.__all__) == 42
 
 
 # the count of parameters with a default over every function in src/: each one
