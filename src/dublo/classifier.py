@@ -22,6 +22,8 @@ from .optimizer import DEFAULT_BISECT_TOL, OptimizationResult, least_doubling
 # a computed C_G this close to 3 reads as 3, both in the D_n verdict and in the
 # cross-check of every verdict
 _MARGIN = 1e-7
+# the verdicts in the order of the values they cover
+_POSITIONS = ("leq3_strict", "eq3", "gt3")
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,14 @@ def classify_leq3(
     if cross_check:
         if numeric is None:
             numeric = least_doubling(g, tol)
-        position = _position(numeric.c_g)
-        if position != verdict:
+        # C_G lies anywhere in the bracket, whose width is up to tol: the check
+        # fails only when no point of the bracket, within the margin, fits the verdict
+        lo, hi = numeric.bracket
+        low, high = (_POSITIONS.index(_position(end)) for end in (lo - _MARGIN, hi + _MARGIN))
+        if not low <= _POSITIONS.index(verdict) <= high:
             raise SolverError(
                 f"classification {verdict} disagrees with optimizer "
-                f"value {numeric.c_g} ({position})"
+                f"bracket [{lo}, {hi}] ({_POSITIONS[low]} to {_POSITIONS[high]})"
             )
 
     return ClassificationVerdict(verdict, family, tuple(reasons), numeric)

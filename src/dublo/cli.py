@@ -1,13 +1,13 @@
 """Command-line surface: compute, spectral, classify, family, verify, batch, truncate.
 
-All machine output carries the schema tag "dublo/2"; floats are printed with
+Every command prints one JSON report tagged "dublo/2"; floats are printed with
 12 significant digits (a bracket rounded outward, every other float to
 nearest) and exact rationals as "p/q" strings, so identical inputs and
 configuration produce byte-identical reports.
 
-Each run setting is one flag; the vertex cap falls back to DUBLO_SIZE_CAP,
-then to the library default.  The Perron tolerance is not a setting: it is
-the constant ``spectral.EIG_TOL``.
+Each run setting is one flag over a library default, and no environment
+variable is read.  The Perron tolerance is not a setting: it is the constant
+``spectral.EIG_TOL``.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 validation
 error, 4 solver breakdown.
@@ -16,12 +16,10 @@ error, 4 solver breakdown.
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import functools
 import json
 import math
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -37,7 +35,6 @@ from .graphs import (
 )
 
 SCHEMA = "dublo/2"
-_ENV_SIZE_CAP = "DUBLO_SIZE_CAP"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -59,19 +56,13 @@ class RunConfig:
         optimizer.DEFAULT_BISECT_TOL, "--tol", "largest width of the C_G bracket"
     )
     certificate_mode: bool = _setting(False, "--certificate", "exact certificate of the minimizer")
-    size_cap: int = _setting(DEFAULT_SIZE_CAP, "--size-cap", "vertex cap (env DUBLO_SIZE_CAP)")
-    output_format: str = _setting("json", "--output", "output format")
-    parallelism: int = _setting(1, "--jobs", "worker processes")
+    size_cap: int = _setting(DEFAULT_SIZE_CAP, "--size-cap", "vertex cap")
 
     def __post_init__(self) -> None:
         if not 0 < self.tolerance_bisect < math.inf:  # NaN fails this too
             raise ValidationError("tolerance must be finite and > 0")
         if self.size_cap < 2:
             raise ValidationError("size cap must be >= 2")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ValidationError("parallelism must be >= 1")
 
 
 _SETTINGS = {f.name: f for f in fields(RunConfig)}
@@ -95,25 +86,9 @@ def _read_input(source: str, errors: str = "strict") -> str:
         raise ParseError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _env_size_cap() -> int:
-    """The vertex cap from the DUBLO_SIZE_CAP env var, else the library default."""
-    raw = os.environ.get(_ENV_SIZE_CAP)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{_ENV_SIZE_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise ValidationError(f"{_ENV_SIZE_CAP} must be >= 2, got {cap}")
-    return cap
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting from its flag, else (the cap) DUBLO_SIZE_CAP, else the default."""
+    """Each setting from its flag, else the default."""
     values = {name: val for name in _SETTINGS if (val := getattr(args, name, None)) is not None}
-    if "size_cap" not in values:  # a flag makes the env var unread, malformed or not
-        values["size_cap"] = _env_size_cap()
     return RunConfig(**values)
 
 
@@ -141,11 +116,7 @@ def _outward(bracket: tuple[float, float]) -> list[float]:
     ]
 
 
-def emit(payload: dict, config: RunConfig, text_lines: list[str] | None = None) -> None:
-    if config.output_format == "text" and text_lines is not None:
-        for line in text_lines:
-            print(line)
-        return
+def emit(payload: dict) -> None:
     print(json.dumps(_round_floats(payload), indent=2))
 
 
@@ -168,21 +139,19 @@ def read_graph(args: argparse.Namespace, config: RunConfig) -> Graph:
 def cmd_compute(args: argparse.Namespace) -> int:
     config = build_config(args)
     g = read_graph(args, config)
-    dt = distances(g)
     result = optimizer.least_doubling(
         g, tol=config.tolerance_bisect, certificate=config.certificate_mode
     )
     class_sizes = sorted(Counter(result.classes).values())
-    bracket = _outward(result.bracket)
     payload = {
         "schema": SCHEMA,
         "n": g.n,
         "m": g.m,
-        "diam": dt.diam,
+        "diam": distances(g).diam,
         "c0": result.lower_bound_spectral,
         "c_g": result.c_g,
         "c_g_exact": result.c_g_exact,
-        "bracket": bracket,
+        "bracket": _outward(result.bracket),
         "minimizer": list(result.minimizer.weights),
         "class_count": len(class_sizes),
         "class_sizes": class_sizes,
@@ -205,15 +174,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "c_mu": rep.c_mu,
             "per_k": [[p.k, p.value, p.witness] for p in rep.per_k],
         }
-    emit(
-        payload,
-        config,
-        text_lines=[
-            f"n={g.n} diam={dt.diam}",
-            f"c0  = {result.lower_bound_spectral:.12g}",
-            f"c_g = {result.c_g:.12g}  bracket=({bracket[0]:.12g}, {bracket[1]:.12g})",
-        ],
-    )
+    emit(payload)
     return EXIT_OK
 
 
@@ -230,7 +191,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         "iterations": res.iterations,
         "eigvec_min1": [float(x) for x in res.eigvec],
     }
-    emit(payload, config, text_lines=[f"radius = {res.radius:.12g}", f"c0 = {res.c0:.12g}"])
+    emit(payload)
     return EXIT_OK
 
 
@@ -249,7 +210,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     }
     if verdict.numeric_cross_check is not None:
         payload["c_g"] = verdict.numeric_cross_check.c_g
-    emit(payload, config, text_lines=[f"{verdict.verdict} ({verdict.family_match})"])
+    emit(payload)
     return EXIT_OK
 
 
@@ -282,7 +243,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         "graph": graph_text,
         "expected": expected_payload,
     }
-    emit(payload, config, text_lines=[graph_text])
+    emit(payload)
     return EXIT_OK
 
 
@@ -391,26 +352,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "pass": bool(passed),
             }
         )
-        if config.output_format == "text":
-            flag = "PASS" if passed else "FAIL"
-            print(f"{flag} {name}: measured={measured:.10g} expected={expected:.10g} tol={tol:g}")
     if args.only is not None and not matched:
         raise ValidationError(f"unknown verify group {args.only!r}")
-    if config.output_format != "text":
-        emit({"schema": SCHEMA, "rows": rows, "failures": failures}, config)
-    else:
-        print(f"{len(rows) - failures}/{len(rows)} rows passed")
+    emit({"schema": SCHEMA, "rows": rows, "failures": failures})
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------- batch
 
 
-def _batch_row(item: tuple[int, str, float, int]) -> dict:
-    index, line, tol, cap = item
+def _batch_row(index: int, line: str, config: RunConfig) -> dict:
     try:
-        g = parse_graph6(line, cap=cap)
-        res = optimizer.least_doubling(g, tol=tol)
+        g = parse_graph6(line, cap=config.size_cap)
+        res = optimizer.least_doubling(g, tol=config.tolerance_bisect)
         return {
             "index": index,
             "n": g.n,
@@ -428,41 +382,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
     config = build_config(args)
     # parse_graph6 rejects the surrogates of a non-UTF-8 record as non-ASCII
     text = _read_input(args.input, errors="surrogateescape")
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    items = [(i, ln, config.tolerance_bisect, config.size_cap) for i, ln in lines]
-    # a fork-started pool launches all its workers at once: cap by lines and cores
-    workers = min(config.parallelism, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_batch_row, items, chunksize=4))
-    else:
-        rows = [_batch_row(item) for item in items]
+    rows = [
+        _batch_row(i, ln.strip(), config)
+        for i, ln in enumerate(text.splitlines())
+        if ln.strip()
+    ]
     good = [r for r in rows if "error" not in r]
     skipped = [r for r in rows if "error" in r]
     for r in skipped:
         print(f"skipping line {r['index']}: {r['error']}", file=sys.stderr)
-    if config.output_format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["index", "n", "diam", "c0", "c_g", "gap", "lemachorra_equal"])
-        for r in good:
-            writer.writerow(
-                [
-                    r["index"],
-                    r["n"],
-                    r["diam"],
-                    f"{r['c0']:.12g}",
-                    f"{r['c_g']:.12g}",
-                    f"{r['gap']:.12g}",
-                    int(r["lemachorra_equal"]),
-                ]
-            )
-    else:
-        emit(
-            {"schema": SCHEMA, "rows": good, "skipped": len(skipped)},
-            config,
-        )
+    emit({"schema": SCHEMA, "rows": good, "skipped": len(skipped)})
     return EXIT_OK
 
 
@@ -470,13 +399,7 @@ def cmd_truncate(args: argparse.Namespace) -> int:
     config = build_config(args)
     depths = _parse_depths(args.depths)
     records = families.truncation_study(args.family, depths, cap=config.size_cap)
-    payload = {"schema": SCHEMA, "family": args.family, "records": records}
-    lines = [
-        f"depth={r['depth']} n={r['n']} c0={r['c0']:.9f}"
-        + (f" ratio={float(r['counting_ratio']):.5f}" if "counting_ratio" in r else "")
-        for r in records
-    ]
-    emit(payload, config, text_lines=lines)
+    emit({"schema": SCHEMA, "family": args.family, "records": records})
     return EXIT_OK
 
 
@@ -514,48 +437,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(command_name, help, fn, settings, outputs=("json", "text")):
+    def command(command_name, help, fn, settings):
         p = sub.add_parser(command_name, help=help)
         p.set_defaults(fn=fn)
         for name in settings:
             meta, kind = _SETTINGS[name].metadata, type(_SETTINGS[name].default)
             if kind is bool:
                 kw = {"action": "store_true"}
-            elif name == "output_format":
-                kw = {"choices": outputs}
             else:
                 kw = {"type": kind, "metavar": meta["flag"][2:].upper().replace("-", "_")}
             p.add_argument(meta["flag"], dest=name, default=None, help=meta["help"], **kw)
         return p
 
-    bisect, cap, out = "tolerance_bisect", "size_cap", "output_format"
+    bisect, cap = "tolerance_bisect", "size_cap"
 
     p = command("compute", "C_G, bracket, minimizer for one graph", cmd_compute,
-                (bisect, "certificate_mode", cap, out))
+                (bisect, "certificate_mode", cap))
     _add_graph_input(p)
     p.add_argument("--measure", default=None, help="measure file to evaluate alongside")
 
-    p = command("spectral", "spectral radius and Perron vector", cmd_spectral, (cap, out))
+    p = command("spectral", "spectral radius and Perron vector", cmd_spectral, (cap,))
     _add_graph_input(p)
 
-    p = command("classify", "position of C_G relative to 3", cmd_classify, (bisect, cap, out))
+    p = command("classify", "position of C_G relative to 3", cmd_classify, (bisect, cap))
     _add_graph_input(p)
     p.add_argument("--cross-check", action="store_true", default=False)
 
-    p = command("family", "emit a named family graph", cmd_family, (cap, out))
+    p = command("family", "emit a named family graph", cmd_family, (cap,))
     _add_family(p, required=True)
     p.add_argument("--emit", choices=("edgelist", "g6"), default="edgelist")
 
-    p = command("verify", "reproduce the catalog of stated constants", cmd_verify,
-                (bisect, cap, out))
+    p = command("verify", "reproduce the catalog of stated constants", cmd_verify, (bisect, cap))
     p.add_argument("--only", default=None, help="run a single verification group")
 
-    p = command("batch", "stream of graph6 records -> constants table", cmd_batch,
-                (bisect, cap, out, "parallelism"), outputs=("json", "csv"))
+    p = command("batch", "stream of graph6 records -> constants table", cmd_batch, (bisect, cap))
     p.add_argument("--input", required=True, help="graph6 file path or - for stdin")
 
-    p = command("truncate", "finite-truncation series for infinite graphs", cmd_truncate,
-                (cap, out))
+    p = command("truncate", "finite-truncation series for infinite graphs", cmd_truncate, (cap,))
     p.add_argument("--family", choices=families.TRUNCATION_FAMILIES, required=True)
     p.add_argument("--depths", required=True, help="comma list or lo..hi range")
 

@@ -1,11 +1,13 @@
 """Structural C <= 3 classification against the optimizer and closed forms."""
 
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
 from dublo import (
+    SolverError,
     classify_leq3,
     expected_constant,
     generate,
@@ -156,6 +158,28 @@ def test_d_n_verdict_and_cross_check_read_one_margin(monkeypatch):
     v = classify_leq3(generate(FamilySpec("d_n", n=8)), cross_check=True)
     assert (v.verdict, v.family_match) == ("leq3_strict", "D_n")
     assert v.numeric_cross_check.c_g == 3 - 5e-7
+
+
+def test_cross_check_reads_the_whole_bracket(capsys):
+    # at tol 1e-3 the bracket's upper end lies above 3 + margin, yet C <= 3 is proven
+    from dublo.cli import EXIT_OK, main
+
+    argv = ["classify", "--family", "d_n", "--n", "100", "--tol", "1e-3", "--cross-check"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "eq3" and payload["c_g"] > 3 + 1e-7
+
+
+def test_cross_check_rejects_a_bracket_outside_the_verdict(monkeypatch):
+    from dublo import classifier
+
+    def above_three(g, tol):
+        lo = 3 + 2 * classifier._MARGIN  # even widened by the margin, above 3 - margin
+        return replace(least_doubling(g, tol), c_g=lo + 1e-3, bracket=(lo, lo + 1e-3))
+
+    monkeypatch.setattr(classifier, "least_doubling", above_three)
+    with pytest.raises(SolverError, match="leq3_strict disagrees"):
+        classify_leq3(generate(FamilySpec("e6")), cross_check=True)
 
 
 # ---------------------------------------------------------------- smith table

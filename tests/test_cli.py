@@ -1,4 +1,4 @@
-"""CLI subcommands: outputs, exit codes, determinism, batch parallelism."""
+"""CLI subcommands: outputs, exit codes, determinism."""
 
 import json
 import sys
@@ -25,8 +25,6 @@ def test_runconfig_validation():
         RunConfig(tolerance_bisect=-1)
     with pytest.raises(Exception):
         RunConfig(size_cap=1)
-    with pytest.raises(Exception):
-        RunConfig(output_format="yaml")
 
 
 def test_compute_k2(tmp_path, capsys):
@@ -173,8 +171,7 @@ def test_exit_code_validation_size_cap(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
-def test_a_cap_is_named_a_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
+def test_a_cap_is_named_a_cap(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--family", "path", "--n", "600")
     assert code == EXIT_VALIDATION and out == ""
     assert err == "cap reached: graph has 600 vertices, cap is 512\n"
@@ -238,8 +235,7 @@ def test_truncate_grid_ray(capsys):
     assert payload["records"][0]["counting_ratio"] == "32/5"
 
 
-def test_truncate_honours_the_size_cap(capsys, monkeypatch):
-    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
+def test_truncate_honours_the_size_cap(capsys):
     for argv in (
         ["--family", "grid_ray", "--depths", "8"],  # 1326 vertices over the default 512
         ["--family", "path_N", "--depths", "200", "--size-cap", "100"],
@@ -257,18 +253,10 @@ def test_truncate_honours_the_size_cap(capsys, monkeypatch):
 
 
 def test_size_cap_env(capsys, monkeypatch):
-    # the CLI reads DUBLO_SIZE_CAP below the flag
-    import io
-
-    monkeypatch.setenv("DUBLO_SIZE_CAP", "3")
-    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 3\n"))
-    code, out, err = run_cli(capsys, "compute", "--input", "-")
-    assert code == EXIT_VALIDATION and out == ""
-    assert "cap is 3" in err
-    argv = ["compute", "--family", "path", "--n", "4", "--size-cap", "8"]
-    for env in ("3", "abc"):  # the flag wins, and leaves the env var unread
+    # --size-cap is the cap's only source: a DUBLO_SIZE_CAP in the environment is not read
+    for env in ("3", "abc"):
         monkeypatch.setenv("DUBLO_SIZE_CAP", env)
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, "compute", "--family", "path", "--n", "4")
         assert code == EXIT_OK and json.loads(out)["n"] == 4, env
 
 
@@ -382,12 +370,14 @@ def test_verify_reads_each_stated_fact(monkeypatch, capsys, row, spec, change):
 
 def test_verify_reads_the_path_threshold(monkeypatch, capsys):
     monkeypatch.setattr(families, "PATH_C0_EQUALITY_MAX_N", families.PATH_C0_EQUALITY_MAX_N - 1)
-    code, out, _ = run_cli(capsys, "verify", "--output", "text")
+    code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_VERIFY_FAIL
-    assert [ln for ln in out.splitlines() if not ln.startswith("PASS")] == [
-        "FAIL path_threshold_n7: measured=0 expected=1 tol=0",
-        "51/52 rows passed",
+    payload = json.loads(out)
+    failed = [r for r in payload["rows"] if not r["pass"]]
+    assert [(r["name"], r["measured"], r["expected"], r["tol"]) for r in failed] == [
+        ("path_threshold_n7", 0.0, 1.0, 0.0)
     ]
+    assert (len(payload["rows"]), payload["failures"]) == (52, 1)
 
 
 def test_truncate_d_infinity_c0_below_3(capsys):
@@ -423,14 +413,6 @@ def test_batch_diameter2_rows_have_zero_gap(g6_corpus, capsys):
             assert abs(row["gap"]) <= 1e-6
 
 
-def test_batch_parallel_matches_serial(g6_corpus, capsys):
-    _, serial, _ = run_cli(capsys, "batch", "--input", str(g6_corpus), "--output", "csv")
-    _, parallel, _ = run_cli(
-        capsys, "batch", "--input", str(g6_corpus), "--output", "csv", "--jobs", "2"
-    )
-    assert serial == parallel
-
-
 def test_batch_skips_malformed(tmp_path, capsys):
     path = tmp_path / "mixed.g6"
     path.write_text("A_\n&&&bad\n")
@@ -450,33 +432,6 @@ def test_batch_skips_non_ascii_record(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["skipped"] == 1
     assert [row["index"] for row in payload["rows"]] == [1]
-
-
-def test_batch_workers_capped_by_line_count(tmp_path, capsys, monkeypatch):
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    path = tmp_path / "three.g6"
-    path.write_text("A_\nBw\nCF\n")
-    _, serial, _ = run_cli(capsys, "batch", "--input", str(path), "--output", "csv")
-    _, wide, _ = run_cli(
-        capsys, "batch", "--input", str(path), "--output", "csv", "--jobs", "64"
-    )
-    assert wide == serial
-    assert all(w <= 3 for w in workers)
 
 
 def test_batch_empty_file(tmp_path, capsys):
@@ -635,13 +590,6 @@ def test_printed_bracket_contains_the_computed_one(tmp_path, capsys):
         assert lo - lo * unit <= printed[0] <= lo <= hi <= printed[1] <= hi + hi * unit, name
 
 
-def test_text_output_prints_the_same_outward_bracket(capsys):
-    # E7's lower end 2.9964226535082488 rounds to nearest as 2.99642265351
-    code, out, _ = run_cli(capsys, "compute", "--family", "e7", "--output", "text")
-    assert code == EXIT_OK
-    assert "bracket=(2.9964226535, 2.99642265451)" in out
-
-
 # ---------------------------------------------------------------- malformed input
 
 
@@ -656,23 +604,19 @@ def test_truncate_malformed_depths_is_parse_error(capsys, depths):
 
 # the RunConfig fields each command reads, and an argv that runs the command
 READS = {
-    "compute": ({"tolerance_bisect", "certificate_mode", "size_cap", "output_format"},
+    "compute": ({"tolerance_bisect", "certificate_mode", "size_cap"},
                 ["--family", "path", "--n", "4"]),
-    "spectral": ({"size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
-    "classify": ({"tolerance_bisect", "size_cap", "output_format"},
-                 ["--family", "path", "--n", "4"]),
-    "family": ({"size_cap", "output_format"}, ["--family", "path", "--n", "4"]),
-    "verify": ({"tolerance_bisect", "size_cap", "output_format"}, ["--only", "three_legs"]),
-    "batch": ({"tolerance_bisect", "size_cap", "output_format", "parallelism"},
-              ["--input", "-"]),
-    "truncate": ({"size_cap", "output_format"}, ["--family", "path_N", "--depths", "2"]),
+    "spectral": ({"size_cap"}, ["--family", "path", "--n", "4"]),
+    "classify": ({"tolerance_bisect", "size_cap"}, ["--family", "path", "--n", "4"]),
+    "family": ({"size_cap"}, ["--family", "path", "--n", "4"]),
+    "verify": ({"tolerance_bisect", "size_cap"}, ["--only", "three_legs"]),
+    "batch": ({"tolerance_bisect", "size_cap"}, ["--input", "-"]),
+    "truncate": ({"size_cap"}, ["--family", "path_N", "--depths", "2"]),
 }
 SETTING_FLAGS = {
     "tolerance_bisect": ["--tol", "1e-8"],
     "certificate_mode": ["--certificate"],
     "size_cap": ["--size-cap", "100"],
-    "output_format": ["--output", "json"],
-    "parallelism": ["--jobs", "1"],
 }
 
 
@@ -715,19 +659,9 @@ def test_each_command_takes_exactly_the_flags_it_reads(capsys):
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-    assert len(ignored) == 15
+    assert len(ignored) == 9
     assert {c for c, f in ignored if f == "--tol"} == {"spectral", "family", "truncate"}
     assert {c for c, f in ignored if f == "--certificate"} == set(READS) - {"compute"}
-    assert {c for c, f in ignored if f == "--jobs"} == set(READS) - {"batch"}
-
-
-def test_output_formats_a_command_cannot_print_are_rejected(capsys):
-    for command, (_, base) in READS.items():
-        unprinted = "text" if command == "batch" else "csv"
-        with pytest.raises(SystemExit) as exc:
-            main([command, *base, "--output", unprinted])
-        assert exc.value.code == 2, command
-        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_each_command_reads_the_settings_in_its_table(capsys, monkeypatch):
@@ -754,12 +688,24 @@ def test_each_command_reads_the_settings_in_its_table(capsys, monkeypatch):
         assert code == EXIT_OK and read == reads, command
 
 
+def test_output_formats_a_command_cannot_print_are_rejected(capsys):
+    # every command prints JSON only, so no --output value is accepted, not even json
+    for command, (_, base) in READS.items():
+        for fmt in ("json", "text"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *base, "--output", fmt])
+            assert exc.value.code == 2, (command, fmt)
+            assert "unrecognized arguments" in capsys.readouterr().err, (command, fmt)
+
+
 def test_removed_setting_flags_are_unrecognized_by_every_command(tmp_path, capsys):
-    # the Perron tolerance is the constant spectral.EIG_TOL, and no settings file is read
+    # the Perron tolerance is the constant spectral.EIG_TOL, no settings file is read,
+    # and batch runs its lines in this process
     cfg = tmp_path / "dublo.cfg"
     cfg.write_text("size_cap = 100\n")
+    removed = (["--eig-tol", "1e-3"], ["--config", str(cfg)], ["--jobs", "1"])
     for command, (_, base) in READS.items():
-        for flag in (["--eig-tol", "1e-3"], ["--config", str(cfg)]):
+        for flag in removed:
             with pytest.raises(SystemExit) as exc:
                 main([command, *base, *flag])
             assert exc.value.code == 2, (command, flag)
@@ -796,10 +742,9 @@ def test_doyle_commands_run_no_automorphism_search(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "family, n", [("complete", 2000), ("cocktail_party", 1000), ("path", 1_000_000)]
 )
-def test_over_cap_family_fails_before_building_its_edges(capsys, monkeypatch, family, n):
+def test_over_cap_family_fails_before_building_its_edges(capsys, family, n):
     import tracemalloc
 
-    monkeypatch.delenv("DUBLO_SIZE_CAP", raising=False)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "compute", "--family", family, "--n", str(n))

@@ -141,10 +141,10 @@ def environment_reads(source: str) -> list[int]:
     )
 
 
-def test_only_the_cli_reads_the_environment():
-    # DUBLO_SIZE_CAP is a CLI setting; library functions take every setting as an argument
+def test_no_module_reads_the_environment():
+    # every setting is a function argument, and the CLI's only source is its flags
     reads = {path.stem: environment_reads(path.read_text()) for path in SRC.glob("*.py")}
-    assert {module: lines for module, lines in reads.items() if lines and module != "cli"} == {}
+    assert {module: lines for module, lines in reads.items() if lines} == {}
 
 
 def test_environment_finder_sees_every_form():
@@ -190,7 +190,7 @@ def test_lp_loads_the_highs_binding_without_scipy_optimize():
 
 
 def test_compute_leaves_multiprocessing_unloaded():
-    # only batch with more than one worker starts a process pool
+    # no command starts a process pool
     assert modules_after_compute("three_legs", ("multiprocessing",)) == ["0", "False"]
 
 
@@ -336,7 +336,7 @@ def test_public_name_count_does_not_grow():
 
 # the count of parameters with a default over every function in src/: each one
 # is a setting some caller may pass, so the count only goes down
-DEFAULTED_PARAMETERS = 18
+DEFAULTED_PARAMETERS = 16
 
 
 def defaulted_parameters(source: str) -> int:
